@@ -29,9 +29,7 @@ many samples, otherwise the audit is inconclusive.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .backends import get_backend
 from .conditions import (
@@ -472,69 +470,53 @@ def _evaluate_probe_job(backend, role, dim_bound, probe_steps, seed):
     return probe_semistable(probed, role, probe_steps, seed, dim_bound=dim_bound)
 
 
-def run_audit(cfg: AuditConfig, workers: int = 1) -> AuditReport:
-    """Run a full audit; a pure function of cfg regardless of workers."""
-    _positive_int(workers, "workers", 1)
-    backend = cfg.backend
+def run_audit(cfg: AuditConfig) -> AuditReport:
+    """Run a full audit; a pure function of cfg.
 
-    jobs = []
-    for cond_name in CONDITION_NAMES:
-        for i in range(cfg.sample_count(cond_name)):
-            seed = f"{cfg.seed}:{cond_name}:{i}"
-            jobs.append(("condition", cond_name,
-                         lambda c=cond_name, s=seed: _evaluate_condition_job(
-                             backend, c, cfg.dim_bound, s)))
-    for i in range(cfg.sample_count("strictness")):
-        seed = f"{cfg.seed}:strictness:{i}"
-        jobs.append(("strictness", None,
-                     lambda s=seed: _evaluate_strictness_job(backend, cfg.dim_bound, s)))
-    for role in ("kernel", "cokernel"):
-        for i in range(cfg.sample_count("semistable")):
-            seed = f"{cfg.seed}:semistable:{role}:{i}"
-            jobs.append(("probe", role,
-                         lambda r=role, s=seed: _evaluate_probe_job(
-                             backend, r, cfg.dim_bound, cfg.probe_steps, s)))
+    Each job depends only on its seed string "<seed>:<check>:<i>".  Jobs
+    are tallied in a fixed order (conditions, strictness, probes), which
+    decides the witnesses and the non-strict example that are kept.
+    """
+    backend, bound = cfg.backend, cfg.dim_bound
 
-    if workers == 1:
-        outcomes = [fn() for _, _, fn in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda job: job[2](), jobs))
-
-    # deterministic fold in job order
     tallies = {name: {"pass": 0, "fail": 0, "vacuous": 0, "exhausted": 0}
                for name in CONDITION_NAMES}
     failures = {name: [] for name in CONDITION_NAMES}
+    for cond_name in CONDITION_NAMES:
+        for i in range(cfg.sample_count(cond_name)):
+            verdict, res = _evaluate_condition_job(
+                backend, cond_name, bound, f"{cfg.seed}:{cond_name}:{i}")
+            tallies[cond_name][verdict] += 1
+            if verdict == FAIL and len(failures[cond_name]) < WITNESS_CAP:
+                failures[cond_name].append(res)
+
     strict_tally = {"samples": 0, "strict": 0, "non_strict": 0, "non_strict_example": None}
+    for i in range(cfg.sample_count("strictness")):
+        strict, inst, flags = _evaluate_strictness_job(
+            backend, bound, f"{cfg.seed}:strictness:{i}")
+        strict_tally["samples"] += 1
+        if strict:
+            strict_tally["strict"] += 1
+        else:
+            strict_tally["non_strict"] += 1
+            if strict_tally["non_strict_example"] is None:
+                strict_tally["non_strict_example"] = {
+                    "instance": inst.to_json(), "flags": flags.to_json()}
+
     probe_tally = {role: {"probes": 0, "clean": 0, "failures": 0}
                    for role in ("kernel", "cokernel")}
     probe_failures = []
-
-    for (kind, tag, _), outcome in zip(jobs, outcomes):
-        if kind == "condition":
-            verdict, res = outcome
-            tallies[tag][verdict] += 1
-            if verdict == FAIL and len(failures[tag]) < WITNESS_CAP:
-                failures[tag].append(res)
-        elif kind == "strictness":
-            strict, inst, flags = outcome
-            strict_tally["samples"] += 1
-            if strict:
-                strict_tally["strict"] += 1
-            else:
-                strict_tally["non_strict"] += 1
-                if strict_tally["non_strict_example"] is None:
-                    strict_tally["non_strict_example"] = {
-                        "instance": inst.to_json(), "flags": flags.to_json()}
-        else:
-            res = outcome
-            probe_tally[tag]["probes"] += 1
+    for role in ("kernel", "cokernel"):
+        for i in range(cfg.sample_count("semistable")):
+            res = _evaluate_probe_job(backend, role, bound, cfg.probe_steps,
+                                      f"{cfg.seed}:semistable:{role}:{i}")
+            probe_tally[role]["probes"] += 1
             if res.verdict == PASS:
-                probe_tally[tag]["clean"] += 1
+                probe_tally[role]["clean"] += 1
             else:
-                probe_tally[tag]["failures"] += 1
+                probe_tally[role]["failures"] += 1
                 if len(probe_failures) < WITNESS_CAP:
-                    probe_failures.append((tag, res))
+                    probe_failures.append((role, res))
 
     witnesses = []
     for cond_name in CONDITION_NAMES:

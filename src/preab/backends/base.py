@@ -134,6 +134,26 @@ class MatrixBackend(Category):
             return False
         return self.try_morphism(f.cod, f.dom, inv) is not None
 
+    def _structural_candidates(self, a: CatObject, b: CatObject) -> list[RatMatrix]:
+        """The zero map, then whichever of identity, inclusion and projection
+        onto the leading coordinates respect the structure of a and b."""
+        n, m = self.ambient_dim(a.payload), self.ambient_dim(b.payload)
+        out = [RatMatrix.zeros(m, n)]
+        named = []
+        if n == m:
+            named.append(RatMatrix.identity(n))
+        if n <= m:
+            named.append(hstack(RatMatrix.identity(n), RatMatrix.zeros(n, m - n)).transpose())
+        if m <= n:
+            named.append(hstack(RatMatrix.identity(m), RatMatrix.zeros(m, n - m)))
+        for cand in named:
+            try:
+                self.check_payload_constraints(a.payload, b.payload, cand)
+            except ConstraintViolation:
+                continue
+            out.append(cand)
+        return out
+
     def make_morphism(self, dom: CatObject, cod: CatObject, payload) -> Morphism:
         if not isinstance(payload, RatMatrix):
             raise ConstraintViolation("morphism payload must be a RatMatrix")

@@ -88,7 +88,7 @@ class FlagBackend(MatrixBackend):
             layers = tuple(layers)
         except (TypeError, ValueError) as exc:
             raise ConstraintViolation(f"object payload must be (dim, layers): {exc}") from exc
-        if not isinstance(dim, int) or dim < 0:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise ConstraintViolation("dimension must be a non-negative integer")
         if len(layers) != self.n_layers:
             raise ConstraintViolation(f"expected {self.n_layers} marked layers, got {len(layers)}")
@@ -165,24 +165,6 @@ class FlagBackend(MatrixBackend):
                 layers.append(cur)
             layers = tuple(layers)
         return CatObject(self, (dim, layers))
-
-    def _structural_candidates(self, a: CatObject, b: CatObject) -> list[RatMatrix]:
-        n, m = self.ambient_dim(a.payload), self.ambient_dim(b.payload)
-        out = [RatMatrix.zeros(m, n)]
-        named = []
-        if n == m:
-            named.append(RatMatrix.identity(n))
-        if n <= m:
-            named.append(hstack(RatMatrix.identity(n), RatMatrix.zeros(n, m - n)).transpose())
-        if m <= n:
-            named.append(hstack(RatMatrix.identity(m), RatMatrix.zeros(m, n - m)))
-        for cand in named:
-            try:
-                self.check_payload_constraints(a.payload, b.payload, cand)
-            except ConstraintViolation:
-                continue
-            out.append(cand)
-        return out
 
     def random_morphism(self, rng, a: CatObject, b: CatObject) -> Morphism:
         if rng.random() < 0.2:

@@ -15,7 +15,7 @@ from math import lcm
 
 from ..core import CatObject, ConstraintViolation, Morphism
 from ..lattice import IntLattice, pure_quotient_rows, saturate
-from ..linalg import RatMatrix, hstack, kernel_basis, matrix_from_json, matrix_to_json
+from ..linalg import RatMatrix, kernel_basis, matrix_from_json, matrix_to_json
 from .base import MatrixBackend
 
 
@@ -24,7 +24,7 @@ class LatZBackend(MatrixBackend):
 
     # -- objects -----------------------------------------------------------
     def make_object(self, payload) -> CatObject:
-        if not isinstance(payload, int) or payload < 0:
+        if not isinstance(payload, int) or isinstance(payload, bool) or payload < 0:
             raise ConstraintViolation("object payload must be a non-negative rank")
         return CatObject(self, payload)
 
@@ -73,16 +73,9 @@ class LatZBackend(MatrixBackend):
         return CatObject(self, rng.randint(0, dim_bound))
 
     def random_morphism(self, rng, a: CatObject, b: CatObject) -> Morphism:
-        n, m = a.payload, b.payload
         if rng.random() < 0.2:
-            cands = [RatMatrix.zeros(m, n)]
-            if n == m:
-                cands.append(RatMatrix.identity(n))
-            if n <= m:
-                cands.append(hstack(RatMatrix.identity(n), RatMatrix.zeros(n, m - n)).transpose())
-            if m <= n:
-                cands.append(hstack(RatMatrix.identity(m), RatMatrix.zeros(m, n - m)))
-            return Morphism(self, a, b, rng.choice(cands))
+            return Morphism(self, a, b, rng.choice(self._structural_candidates(a, b)))
+        n, m = a.payload, b.payload
         data = (Fraction(rng.randint(-3, 3)) for _ in range(m * n))
         return Morphism(self, a, b, RatMatrix(m, n, data))
 

@@ -9,6 +9,9 @@ Exit codes are a stable contract.
                1 config or I/O problem
     check:     0 pass / 2 fail / 3 vacuous / 1 malformed input
     decompose: 0 printed / 1 malformed input
+
+A usage error (unknown option or subcommand, missing argument) prints
+one line and exits 1, so it can never read as a witness or a failure.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ def cmd_audit(args) -> int:
         if args.seed is not None:
             blob = {**blob, "seed": args.seed}
         cfg = AuditConfig.from_json(blob)
-        report = run_audit(cfg, workers=args.workers)
+        report = run_audit(cfg)
         _emit(ReportDocument.from_audit(report).emit(), args.out)
     except (ValueError, ConstraintViolation, OSError) as e:
         print(f"preab audit: {e}", file=sys.stderr)
@@ -113,8 +116,15 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line and exit 1."""
+
+    def error(self, message):
+        self.exit(1, f"{self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="preab",
         description="Kernels, cokernels and exactness audits in concrete "
                     "preabelian categories.")
@@ -125,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--seed", help="override the config seed")
     p.add_argument("--backend", help="override the config backend")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel evaluation; never changes the report")
     p.set_defaults(run=cmd_audit)
 
     p = sub.add_parser("check", help="replay one named check on one instance")

@@ -578,14 +578,9 @@ def induced_kernel_map(sq: Square) -> Morphism:
 
 
 def induced_cokernel_map(sq: Square) -> Morphism:
-    """The unique map Cok(top) -> Cok(bottom) extending sq.right."""
-    c = sq.top.category
-    c_top = c.cokernel(sq.top)
-    c_bot = c.cokernel(sq.bottom)
-    u = c_top.factor(c.compose(c_bot.leg, sq.right))
-    if u is None:
-        raise RuntimeError("square commutes but the cokernel map did not factor")
-    return u
+    """The unique map Cok(top) -> Cok(bottom) extending sq.right; the
+    dual of :func:`induced_kernel_map`."""
+    return dualize(induced_kernel_map(dualize_square(sq)))
 
 
 def subobject_iso(u: Morphism, v: Morphism) -> Optional[Morphism]:
@@ -613,13 +608,5 @@ def quotient_iso(p: Morphism, q: Morphism) -> Optional[Morphism]:
     same quotient of their common domain; otherwise None.  Dual of
     :func:`subobject_iso`, intended for epimorphisms.
     """
-    if p.dom != q.dom:
-        return None
-    c = p.category
-    w = c.divide_right(p, q)
-    wp = c.divide_right(q, p)
-    if w is None or wp is None:
-        return None
-    if c.compose(w, wp) != c.identity(q.cod) or c.compose(wp, w) != c.identity(p.cod):
-        return None
-    return w
+    w = subobject_iso(dualize(q), dualize(p))
+    return None if w is None else dualize(w)

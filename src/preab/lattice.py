@@ -249,10 +249,6 @@ def saturate(l: IntLattice) -> IntLattice:
     return IntLattice.span(l.ambient_dim, cols)
 
 
-def is_saturated(l: IntLattice) -> bool:
-    return saturate(l) == l
-
-
 def pure_quotient_rows(l: IntLattice) -> RatMatrix:
     """Projection matrix q: Z^n -> Z^(n-rank) with kernel exactly ``l``.
 
@@ -268,18 +264,3 @@ def pure_quotient_rows(l: IntLattice) -> RatMatrix:
         raise ValueError("lattice is not saturated; saturate it first")
     r = len(divisors)
     return RatMatrix(n - r, n, (u.entry(i, j) for i in range(r, n) for j in range(n)))
-
-
-def lattice_to_json(l: IntLattice) -> dict:
-    from .linalg import matrix_to_json
-
-    return {"ambient_dim": l.ambient_dim, "basis": matrix_to_json(l.basis)}
-
-
-def lattice_from_json(obj: dict) -> IntLattice:
-    from .linalg import matrix_from_json
-
-    try:
-        return IntLattice.span(obj["ambient_dim"], matrix_from_json(obj["basis"]))
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed lattice object: {exc}") from exc

@@ -17,11 +17,18 @@ from typing import Iterable, Sequence
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction."""
+    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction.
+
+    Any other type, bool included, is a TypeError; a string that names
+    no rational number, such as ``"1/0"``, is a ValueError.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
@@ -185,12 +192,6 @@ def vstack(*mats: RatMatrix) -> RatMatrix:
     return RatMatrix(sum(m.rows for m in mats), cols, data)
 
 
-def block_diag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    top = hstack(a, RatMatrix.zeros(a.rows, b.cols))
-    bot = hstack(RatMatrix.zeros(b.rows, a.cols), b)
-    return vstack(top, bot)
-
-
 def _rref_pivots(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form together with its pivot columns."""
     rows = [list(m.row(i)) for i in range(m.rows)]
@@ -339,9 +340,6 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def contains_vector(self, v: RatMatrix) -> bool:
-        return solve_right(self.basis, v) is not None
-
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient spaces differ")
@@ -406,19 +404,11 @@ def matrix_from_json(obj: dict) -> RatMatrix:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int):
+    if any(not isinstance(n, int) or isinstance(n, bool) for n in (rows, cols)):
         raise ValueError("matrix rows/cols must be integers")
-    if len(entries) != rows or any(len(r) != cols for r in entries):
-        raise ValueError("matrix entry grid does not match stated shape")
-    return RatMatrix(rows, cols, (frac(x) for row in entries for x in row))
-
-
-def subspace_to_json(s: Subspace) -> dict:
-    return {"ambient_dim": s.ambient_dim, "basis": matrix_to_json(s.basis)}
-
-
-def subspace_from_json(obj: dict) -> Subspace:
     try:
-        return Subspace.span(obj["ambient_dim"], matrix_from_json(obj["basis"]))
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed subspace object: {exc}") from exc
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise ValueError("matrix entry grid does not match stated shape")
+        return RatMatrix(rows, cols, (frac(x) for row in entries for x in row))
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix entries: {exc}") from exc

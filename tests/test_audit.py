@@ -233,14 +233,6 @@ class TestRunAudit:
         cfg = small_config("subvect")
         assert run_audit(cfg).to_json() == run_audit(cfg).to_json()
 
-    def test_workers_never_change_the_report(self):
-        cfg = small_config("filtvect3")
-        assert run_audit(cfg, workers=1).to_json() == run_audit(cfg, workers=3).to_json()
-
-    def test_worker_count_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_audit(small_config("vectq"), workers=0)
-
     def test_insufficient_coverage_is_inconclusive(self):
         cfg = AuditConfig(backend="vectq", seed="thin",
                           samples={"default": 2, "semistable": 1},

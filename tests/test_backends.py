@@ -201,6 +201,13 @@ def test_object_json_rejects_malformed():
         SUBVECT.object_from_json({"dim": 2})  # missing subspace
     with pytest.raises(ValueError):
         LATZ.object_from_json({"rank": "x"})
+    with pytest.raises(ValueError):
+        LATZ.object_from_json({"rank": True})
+    with pytest.raises(ValueError):
+        VECTQ.object_from_json({"dim": True})
+    with pytest.raises(ValueError):
+        SUBVECT.object_from_json({"dim": True,
+                                  "subspace": {"rows": 1, "cols": 0, "entries": [[]]}})
 
 
 def test_morphism_json_rejects_structure_violation():

@@ -108,14 +108,6 @@ class TestAuditCommand:
         capsys.readouterr()
         assert target.read_text() == stdout_text
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
-        cfg = write_json(tmp_path, "cfg.json", {**AUDIT_CONFIG, "backend": "subvect"})
-        one, two = tmp_path / "one.json", tmp_path / "two.json"
-        assert main(["audit", "--config", cfg, "--out", str(one)]) == 0
-        assert main(["audit", "--config", cfg, "--out", str(two),
-                     "--workers", "3"]) == 0
-        assert one.read_text() == two.read_text()
-
     def test_seed_and_backend_overrides(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "cfg.json", AUDIT_CONFIG)
         code = main(["audit", "--config", cfg, "--backend", "latz", "--seed", "ovr"])
@@ -143,8 +135,8 @@ class TestAuditCommand:
     def test_witnesses_exit_two(self, tmp_path, capsys, monkeypatch):
         real = run_audit
 
-        def with_witness(cfg, workers=1):
-            rep = real(cfg, workers=workers)
+        def with_witness(cfg):
+            rep = real(cfg)
             object.__setattr__(rep, "witnesses", ({"check": "right.iii"},))
             return rep
 
@@ -260,6 +252,13 @@ class TestDecomposeCommand:
         json.dumps({"backend": "latz"}),
         json.dumps({**LATZ_DOUBLING, "matrix": {"rows": 2, "cols": 1,
                                                 "entries": [["1"]]}}),
+        json.dumps({**LATZ_DOUBLING, "matrix": {"rows": 1, "cols": 1,
+                                                "entries": [["1/0"]]}}),
+        json.dumps({**LATZ_DOUBLING, "matrix": {"rows": True, "cols": 1,
+                                                "entries": [["2"]]}}),
+        json.dumps({**LATZ_DOUBLING, "dom": {"rank": True}}),
+        json.dumps({"backend": "vectq", "dom": {"dim": True}, "cod": {"dim": 1},
+                    "matrix": {"rows": 1, "cols": 1, "entries": [["1"]]}}),
     ])
     def test_malformed_morphism_exits_one(self, monkeypatch, capsys, text):
         code, _, err = run_main(["decompose"], stdin_text=text,
@@ -281,8 +280,27 @@ class TestEntryPoints:
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--config", "cfg.json", "--workers", "2"],
+        ["audit"],
+        ["frobnicate"],
+    ])
+    def test_usage_errors_exit_one_with_one_line(self, capsys, argv):
+        # exit 2 would read as a witness (audit) or a failing check
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1 and out == ""
+        assert err.startswith("preab") and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_module_invocation(self):
         proc = subprocess.run(

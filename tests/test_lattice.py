@@ -17,14 +17,11 @@ from preab.lattice import (
     IntLattice,
     column_hnf,
     elementary_divisors,
-    is_saturated,
-    lattice_from_json,
-    lattice_to_json,
     pure_quotient_rows,
     saturate,
     smith_with_transforms,
 )
-from preab.linalg import RatMatrix, rank
+from preab.linalg import RatMatrix, matrix_from_json, matrix_to_json, rank
 
 
 def _m(rows, cols=None):
@@ -33,6 +30,18 @@ def _m(rows, cols=None):
 
 def _lat(ambient, *cols):
     return IntLattice.span(ambient, RatMatrix.from_columns(list(cols), rows=ambient))
+
+
+def is_saturated(l: IntLattice) -> bool:
+    return saturate(l) == l
+
+
+def lattice_to_json(l: IntLattice) -> dict:
+    return {"ambient_dim": l.ambient_dim, "basis": matrix_to_json(l.basis)}
+
+
+def lattice_from_json(obj: dict) -> IntLattice:
+    return IntLattice.span(obj["ambient_dim"], matrix_from_json(obj["basis"]))
 
 
 # ---------------------------------------------------------------- frozen

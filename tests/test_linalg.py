@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from preab.linalg import (
     RatMatrix,
     Subspace,
-    block_diag,
     column_echelon_basis,
     complement_rows,
     hstack,
@@ -33,8 +32,6 @@ from preab.linalg import (
     rank,
     rref,
     solve_right,
-    subspace_from_json,
-    subspace_to_json,
     vstack,
 )
 
@@ -45,6 +42,20 @@ def _m(rows, cols=None):
 
 def _span(ambient, *cols):
     return Subspace.span(ambient, RatMatrix.from_columns(list(cols), rows=ambient))
+
+
+def block_diag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    top = hstack(a, RatMatrix.zeros(a.rows, b.cols))
+    bot = hstack(RatMatrix.zeros(b.rows, a.cols), b)
+    return vstack(top, bot)
+
+
+def subspace_to_json(s: Subspace) -> dict:
+    return {"ambient_dim": s.ambient_dim, "basis": matrix_to_json(s.basis)}
+
+
+def subspace_from_json(obj: dict) -> Subspace:
+    return Subspace.span(obj["ambient_dim"], matrix_from_json(obj["basis"]))
 
 
 # ---------------------------------------------------------------- frozen
@@ -313,3 +324,15 @@ def test_matrix_json_rejects_garbage():
         matrix_from_json({"rows": 2, "cols": 2, "entries": [["1", "2"]]})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": "2"})
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": 1, "cols": 1, "entries": [["1/0"]]})
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": True, "cols": 1, "entries": [["1"]]})
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": 1, "cols": True, "entries": [["1"]]})
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": 1, "cols": 1, "entries": [[True]]})
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": 1, "cols": 1, "entries": [[1.5]]})
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": 1, "cols": 1, "entries": 7})
