@@ -45,9 +45,10 @@ from .conditions import (
     SquareInstance,
     check_condition,
     classify,
+    probe_semistable,
     run_check,
 )
-from .core import Category, ConstraintViolation, Square, cokernel, kernel, pushout
+from .core import Category, ConstraintViolation, Square, cokernel, kernel, pullback, pushout
 from .linalg import RatMatrix
 
 CONDITION_NAMES = tuple(str(c) for c in ALL_CONDITIONS)
@@ -216,119 +217,77 @@ def generate_instance(backend: str, cond, dim_bound: int, seed):
 def instance_size(inst) -> int:
     """Total ambient dimension across the instance's distinct objects."""
     cat = inst.category
-    return sum(cat.ambient_dim(p) for p in _plan(inst)[0])
+    return sum(cat.ambient_dim(a.payload) for a in _shape(inst)[0])
 
 
-def _plan(inst):
-    """Shrink plan: (payloads, matrices, sites, rebuild).
+def _shape(inst):
+    """Instance shape: (objects, edges, make).
 
-    payloads lists the distinct objects, matrices the raw edge matrices.
-    Each site is (payload index, {matrix name: axis}) tying one deletable
-    ambient coordinate to the matrix rows/columns it removes.  rebuild
-    turns edited payloads and matrices back into an instance, raising on
-    anything invalid.
+    objects lists the distinct objects; edges maps each edge name to
+    (morphism, dom index, cod index) into objects; make turns a dict of
+    edge morphisms back into an instance of the same kind.
     """
-    cat = inst.category
-
-    def build_mor(dom_payload, cod_payload, m):
-        f = cat.try_morphism(cat.make_object(dom_payload), cat.make_object(cod_payload), m)
-        if f is None:
-            raise ConstraintViolation("edited matrix violates structure")
-        return f
-
     if isinstance(inst, MorphismInstance):
-        payloads = [inst.f.dom.payload, inst.f.cod.payload]
-        mats = {"f": inst.f.payload}
-        sites = [(0, {"f": "col"}), (1, {"f": "row"})]
-
-        def rebuild(ps, ms):
-            return MorphismInstance(build_mor(ps[0], ps[1], ms["f"]))
-
-        return payloads, mats, sites, rebuild
-
+        f = inst.f
+        return [f.dom, f.cod], {"f": (f, 0, 1)}, lambda e: MorphismInstance(**e)
     if isinstance(inst, PairInstance):
-        payloads = [inst.inner.dom.payload, inst.inner.cod.payload, inst.outer.cod.payload]
-        mats = {"inner": inst.inner.payload, "outer": inst.outer.payload}
-        sites = [(0, {"inner": "col"}),
-                 (1, {"inner": "row", "outer": "col"}),
-                 (2, {"outer": "row"})]
-
-        def rebuild(ps, ms):
-            return PairInstance(outer=build_mor(ps[1], ps[2], ms["outer"]),
-                                inner=build_mor(ps[0], ps[1], ms["inner"]))
-
-        return payloads, mats, sites, rebuild
-
+        inner, outer = inst.inner, inst.outer
+        return ([inner.dom, inner.cod, outer.cod],
+                {"inner": (inner, 0, 1), "outer": (outer, 1, 2)},
+                lambda e: PairInstance(**e))
     if isinstance(inst, SquareInstance):
         sq = inst.square
         if sq.provenance == "pushout":
-            payloads = [sq.left.dom.payload, sq.left.cod.payload, sq.top.cod.payload]
-            mats = {"left": sq.left.payload, "top": sq.top.payload}
-            sites = [(0, {"left": "col", "top": "col"}),
-                     (1, {"left": "row"}), (2, {"top": "row"})]
-
-            def rebuild(ps, ms):
-                return SquareInstance(pushout(build_mor(ps[0], ps[1], ms["left"]),
-                                              build_mor(ps[0], ps[2], ms["top"])))
-
-            return payloads, mats, sites, rebuild
+            return ([sq.left.dom, sq.left.cod, sq.top.cod],
+                    {"left": (sq.left, 0, 1), "top": (sq.top, 0, 2)},
+                    lambda e: SquareInstance(pushout(e["left"], e["top"])))
         if sq.provenance == "pullback":
-            from .core import pullback
-            payloads = [sq.bottom.dom.payload, sq.right.dom.payload, sq.bottom.cod.payload]
-            mats = {"bottom": sq.bottom.payload, "right": sq.right.payload}
-            sites = [(0, {"bottom": "col"}), (1, {"right": "col"}),
-                     (2, {"bottom": "row", "right": "row"})]
-
-            def rebuild(ps, ms):
-                return SquareInstance(pullback(build_mor(ps[0], ps[2], ms["bottom"]),
-                                               build_mor(ps[1], ps[2], ms["right"])))
-
-            return payloads, mats, sites, rebuild
+            return ([sq.bottom.dom, sq.right.dom, sq.bottom.cod],
+                    {"bottom": (sq.bottom, 0, 2), "right": (sq.right, 1, 2)},
+                    lambda e: SquareInstance(pullback(e["bottom"], e["right"])))
         # hand-built commuting square: all four corners and edges
-        payloads = [sq.top.dom.payload, sq.left.cod.payload,
-                    sq.top.cod.payload, sq.bottom.cod.payload]
-        mats = {"top": sq.top.payload, "left": sq.left.payload,
-                "bottom": sq.bottom.payload, "right": sq.right.payload}
-        sites = [(0, {"top": "col", "left": "col"}),
-                 (1, {"left": "row", "bottom": "col"}),
-                 (2, {"top": "row", "right": "col"}),
-                 (3, {"bottom": "row", "right": "row"})]
-
-        def rebuild(ps, ms):
-            return SquareInstance(Square(
-                top=build_mor(ps[0], ps[2], ms["top"]),
-                left=build_mor(ps[0], ps[1], ms["left"]),
-                bottom=build_mor(ps[1], ps[3], ms["bottom"]),
-                right=build_mor(ps[2], ps[3], ms["right"])))
-
-        return payloads, mats, sites, rebuild
-
+        return ([sq.top.dom, sq.left.cod, sq.top.cod, sq.bottom.cod],
+                {"top": (sq.top, 0, 2), "left": (sq.left, 0, 1),
+                 "bottom": (sq.bottom, 1, 3), "right": (sq.right, 2, 3)},
+                lambda e: SquareInstance(Square(**e)))
     if isinstance(inst, ProbeInstance):
-        payloads = [inst.f.dom.payload, inst.f.cod.payload, _probe_other(inst).payload]
-        mats = {"f": inst.f.payload, "along": inst.along.payload}
-        if inst.role == "kernel":
-            sites = [(0, {"f": "col", "along": "col"}),
-                     (1, {"f": "row"}), (2, {"along": "row"})]
+        f, along, role = inst.f, inst.along, inst.role
+        if role == "kernel":
+            objects, ends = [f.dom, f.cod, along.cod], (0, 2)
         else:
-            sites = [(0, {"f": "col"}),
-                     (1, {"f": "row", "along": "row"}), (2, {"along": "col"})]
-        role = inst.role
-
-        def rebuild(ps, ms):
-            f = build_mor(ps[0], ps[1], ms["f"])
-            if role == "kernel":
-                along = build_mor(ps[0], ps[2], ms["along"])
-            else:
-                along = build_mor(ps[2], ps[1], ms["along"])
-            return ProbeInstance(role=role, f=f, along=along)
-
-        return payloads, mats, sites, rebuild
-
+            objects, ends = [f.dom, f.cod, along.dom], (2, 1)
+        return (objects, {"f": (f, 0, 1), "along": (along, *ends)},
+                lambda e: ProbeInstance(role=role, **e))
     raise ValueError(f"cannot shrink instance of type {type(inst).__name__}")
 
 
-def _probe_other(inst: ProbeInstance):
-    return inst.along.cod if inst.role == "kernel" else inst.along.dom
+def _plan(inst):
+    """Shrink plan: (payloads, matrices, sites, rebuild), all read off _shape.
+
+    payloads lists the distinct objects, matrices the raw edge matrices.
+    Each site is (payload index, {matrix name: axis}) tying one deletable
+    ambient coordinate to the matrix columns (edges out of that object)
+    and rows (edges into it) it removes.  rebuild turns edited payloads
+    and matrices back into an instance, raising on anything invalid.
+    """
+    cat = inst.category
+    objects, edges, make = _shape(inst)
+    payloads = [a.payload for a in objects]
+    mats = {name: f.payload for name, (f, _, _) in edges.items()}
+    sites = [(i, {name: "col" if dom == i else "row"
+                  for name, (_, dom, cod) in edges.items() if i in (dom, cod)})
+             for i in range(len(objects))]
+
+    def rebuild(ps, ms):
+        built = {}
+        for name, (_, dom, cod) in edges.items():
+            f = cat.try_morphism(cat.make_object(ps[dom]), cat.make_object(ps[cod]), ms[name])
+            if f is None:
+                raise ConstraintViolation("edited matrix violates structure")
+            built[name] = f
+        return make(built)
+
+    return payloads, mats, sites, rebuild
 
 
 def _delete_axis(m: RatMatrix, axis: str, j: int) -> RatMatrix:
@@ -460,7 +419,6 @@ def _evaluate_strictness_job(backend, dim_bound, seed):
 
 
 def _evaluate_probe_job(backend, role, dim_bound, probe_steps, seed):
-    from .conditions import probe_semistable
     cat = get_backend(backend)
     rng = random.Random(f"{seed}:pick")
     if role == "kernel":

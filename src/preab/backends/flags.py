@@ -31,6 +31,7 @@ from ..linalg import (
     preimage,
     pushforward,
     solve_right,
+    vstack,
 )
 from .base import MatrixBackend
 
@@ -244,7 +245,5 @@ class FlagBackend(MatrixBackend):
 
 def vert_shift(basis: RatMatrix, above: int, below: int) -> RatMatrix:
     """Pad basis columns with zero rows above and below."""
-    from ..linalg import vstack
-
     return vstack(RatMatrix.zeros(above, basis.cols), basis,
                   RatMatrix.zeros(below, basis.cols))

@@ -409,27 +409,22 @@ def check_right_vii(sq: Square) -> CheckResult:
 # dispatch and the left side
 
 
-def _expect(instance: Instance, cls, what: str) -> None:
-    if not isinstance(instance, cls):
-        raise ValueError(f"{what} expects a {cls.__name__}, got {type(instance).__name__}")
+def _expect(check: str, instance: Instance) -> None:
+    want = CHECK_KINDS[check]
+    got = getattr(instance, "kind", type(instance).__name__)
+    if got != want:
+        raise ValueError(f"{check} expects a {want} instance, got {got}")
 
 
-def _dispatch_right(index: str, instance: Instance) -> CheckResult:
-    if index == "i":
-        _expect(instance, MorphismInstance, "condition i")
-        return check_right_i(instance.f)
-    if index == "ii":
-        _expect(instance, PairInstance, "condition ii")
-        return check_right_ii(instance.outer, instance.inner)
-    if index == "vi":
-        _expect(instance, PairInstance, "condition vi")
-        return check_right_vi(instance.outer, instance.inner)
-    if index in ("iii", "iv", "v", "vii"):
-        _expect(instance, SquareInstance, f"condition {index}")
-        fn = {"iii": check_right_iii, "iv": check_right_iv,
-              "v": check_right_v, "vii": check_right_vii}[index]
-        return fn(instance.square)
-    raise ValueError(f"unknown condition index: {index!r}")
+_RIGHT = {
+    "i": lambda inst: check_right_i(inst.f),
+    "ii": lambda inst: check_right_ii(inst.outer, inst.inner),
+    "iii": lambda inst: check_right_iii(inst.square),
+    "iv": lambda inst: check_right_iv(inst.square),
+    "v": lambda inst: check_right_v(inst.square),
+    "vi": lambda inst: check_right_vi(inst.outer, inst.inner),
+    "vii": lambda inst: check_right_vii(inst.square),
+}
 
 
 def check_left(cond, instance: Instance) -> CheckResult:
@@ -441,7 +436,8 @@ def check_left(cond, instance: Instance) -> CheckResult:
     replays) on the base side.
     """
     cond = ConditionId.parse(cond) if isinstance(cond, str) else cond
-    mirrored = _dispatch_right(cond.index, instance.dualize())
+    _expect(f"left.{cond.index}", instance)
+    mirrored = _RIGHT[cond.index](instance.dualize())
     return CheckResult(f"left.{cond.index}", mirrored.verdict, instance,
                        mirrored.witness)
 
@@ -449,9 +445,10 @@ def check_left(cond, instance: Instance) -> CheckResult:
 def check_condition(cond, instance: Instance) -> CheckResult:
     """Evaluate any catalog condition ("right.iii", ConditionId, ...)."""
     cond = ConditionId.parse(cond) if isinstance(cond, str) else cond
-    if cond.side == "right":
-        return _dispatch_right(cond.index, instance)
-    return check_left(cond, instance)
+    if cond.side == "left":
+        return check_left(cond, instance)
+    _expect(str(cond), instance)
+    return _RIGHT[cond.index](instance)
 
 
 # ---------------------------------------------------------------------------
@@ -593,48 +590,19 @@ def probe_semistable(f: Morphism, role: str, n_samples: int, seed,
 # the named-check registry (CLI surface)
 
 
-def _run_semi_abelian(instance):
-    _expect(instance, MorphismInstance, "semi_abelian")
-    return check_semi_abelian(instance.f)
-
-
-def _run_strict(instance):
-    _expect(instance, MorphismInstance, "strict")
-    return check_strict(instance.f)
-
-
-def _run_composite_cones(instance):
-    _expect(instance, PairInstance, "composite_cones")
-    return check_composite_cones(instance.inner, instance.outer)
-
-
-def _run_image_slide_kernels(instance):
-    _expect(instance, PairInstance, "image_slide.kernels")
-    return check_image_slide(instance.inner, instance.outer, "kernels")
-
-
-def _run_image_slide_cokernels(instance):
-    _expect(instance, PairInstance, "image_slide.cokernels")
-    return check_image_slide(instance.inner, instance.outer, "cokernels")
-
-
-def _run_semistable(instance):
-    _expect(instance, ProbeInstance, "semistable")
-    return check_semistable_step(instance)
-
-
 CHECKS: dict[str, Callable[[Instance], CheckResult]] = {
     **{f"{s}.{i}": (lambda inst, c=f"{s}.{i}": check_condition(c, inst))
        for s in SIDES for i in INDICES},
-    "semi_abelian": _run_semi_abelian,
-    "strict": _run_strict,
-    "composite_cones": _run_composite_cones,
-    "image_slide.kernels": _run_image_slide_kernels,
-    "image_slide.cokernels": _run_image_slide_cokernels,
-    "semistable": _run_semistable,
+    "semi_abelian": lambda inst: check_semi_abelian(inst.f),
+    "strict": lambda inst: check_strict(inst.f),
+    "composite_cones": lambda inst: check_composite_cones(inst.inner, inst.outer),
+    "image_slide.kernels": lambda inst: check_image_slide(inst.inner, inst.outer, "kernels"),
+    "image_slide.cokernels": lambda inst: check_image_slide(inst.inner, inst.outer, "cokernels"),
+    "semistable": lambda inst: check_semistable_step(inst),
 }
 
-# expected instance kind per check, for documentation and input validation
+# the instance kind each check takes; run_check and the catalog entry
+# points reject any other kind with a ValueError
 CHECK_KINDS = {
     **{f"{s}.i": "morphism" for s in SIDES},
     **{f"{s}.{i}": "pair" for s in SIDES for i in ("ii", "vi")},
@@ -654,4 +622,5 @@ def run_check(name: str, instance: Instance) -> CheckResult:
         fn = CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown check: {name!r} (known: {', '.join(sorted(CHECKS))})")
+    _expect(name, instance)
     return fn(instance)

@@ -137,12 +137,16 @@ class Decomposition:
 
     ``coim`` is the cokernel of ker f, ``im`` is the kernel of cok f,
     and ``fbar`` is the induced comparison between them.  A morphism is
-    strict exactly when fbar is an isomorphism.
+    strict exactly when fbar is an isomorphism.  The kernel and cokernel
+    cones of f that the factorization is built from ride along; they
+    take no part in equality, hashing or repr.
     """
 
     coim: Morphism
     fbar: Morphism
     im: Morphism
+    kernel: Cone = field(compare=False, repr=False)
+    cokernel: Cone = field(compare=False, repr=False)
 
     def recompose(self) -> Morphism:
         return self.im @ self.fbar @ self.coim
@@ -465,20 +469,23 @@ def decompose(f: Morphism) -> Decomposition:
     fbar = im_cone.factor(through_coim)
     if fbar is None:
         raise RuntimeError("kernel cone refused to factor f through its own image")
-    return Decomposition(coim=coim_cone.leg, fbar=fbar, im=im_cone.leg)
+    return Decomposition(coim=coim_cone.leg, fbar=fbar, im=im_cone.leg,
+                         kernel=kc, cokernel=cc)
 
 
 def classify(f: Morphism) -> MorphismClass:
     """Mono/epi/iso/strict flags plus the derived kernel/cokernel tests.
 
-    A morphism is a kernel iff it is mono and strict, and a cokernel
-    iff it is epi and strict, so no search over candidate morphisms is
+    Mono, epi and strict are all read off one decomposition of f.  A
+    morphism is a kernel iff it is mono and strict, and a cokernel iff
+    it is epi and strict, so no search over candidate morphisms is
     needed.
     """
     c = f.category
-    mono = c.is_zero_object(c.kernel(f).apex)
-    epi = c.is_zero_object(c.cokernel(f).apex)
-    strict = c.is_iso(decompose(f).fbar)
+    d = decompose(f)
+    mono = c.is_zero_object(d.kernel.apex)
+    epi = c.is_zero_object(d.cokernel.apex)
+    strict = c.is_iso(d.fbar)
     return MorphismClass(
         mono=mono,
         epi=epi,

@@ -179,23 +179,24 @@ def elementary_divisors(m: RatMatrix) -> list[int]:
 
 
 class IntLattice:
-    """A finitely generated subgroup of Z^n in canonical basis form."""
+    """A finitely generated subgroup of Z^n in canonical basis form.
+
+    The constructor takes any n x k integer generating matrix and stores
+    its column Hermite normal form, so every IntLattice is canonical and
+    equality of values is equality of subgroups.
+    """
 
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, basis: RatMatrix):
         if basis.rows != ambient_dim:
             raise ValueError("basis does not live in the stated ambient group")
-        if column_hnf(basis) != basis:
-            raise ValueError("basis is not in canonical form; use IntLattice.span")
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.basis = column_hnf(basis)
 
     @classmethod
     def span(cls, ambient_dim: int, generators: RatMatrix) -> "IntLattice":
-        if generators.rows != ambient_dim:
-            raise ValueError("generators have the wrong length")
-        return cls(ambient_dim, column_hnf(generators))
+        return cls(ambient_dim, generators)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "IntLattice":

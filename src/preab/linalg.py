@@ -253,13 +253,12 @@ def kernel_basis(m: RatMatrix) -> "Subspace":
         for i, p in enumerate(pivots):
             v[p] = -r.entry(i, f)
         cols.append(v)
-    basis = RatMatrix.from_columns(cols, rows=m.cols)
-    return Subspace(m.cols, column_echelon_basis(basis))
+    return Subspace(m.cols, RatMatrix.from_columns(cols, rows=m.cols))
 
 
 def image_basis(m: RatMatrix) -> "Subspace":
     """The column space of ``m``, as a canonical Subspace of Q^rows."""
-    return Subspace(m.rows, column_echelon_basis(m))
+    return Subspace(m.rows, m)
 
 
 def solve_right(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
@@ -293,9 +292,10 @@ def invert(m: RatMatrix) -> RatMatrix | None:
 class Subspace:
     """A linear subspace of Q^n held in canonical form.
 
-    The basis matrix is n x dim in reduced column echelon form, so two
-    Subspace values are equal exactly when they describe the same
-    subspace.  Use :meth:`span` to build one from any spanning set.
+    The constructor takes any n x k spanning matrix and stores its
+    reduced column echelon form, so every Subspace is canonical and two
+    values are equal exactly when they describe the same subspace.
+    :meth:`span` also accepts a list of vectors.
     """
 
     __slots__ = ("ambient_dim", "basis")
@@ -303,19 +303,15 @@ class Subspace:
     def __init__(self, ambient_dim: int, basis: RatMatrix):
         if basis.rows != ambient_dim:
             raise ValueError("basis does not live in the stated ambient space")
-        if column_echelon_basis(basis) != basis:
-            raise ValueError("basis is not in canonical form; use Subspace.span")
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.basis = column_echelon_basis(basis)
 
     @classmethod
     def span(cls, ambient_dim: int, vectors) -> "Subspace":
         """Subspace spanned by the columns of ``vectors`` (or listed vectors)."""
         if not isinstance(vectors, RatMatrix):
             vectors = RatMatrix.from_columns(vectors, rows=ambient_dim)
-        if vectors.rows != ambient_dim:
-            raise ValueError("spanning vectors have the wrong length")
-        return cls(ambient_dim, column_echelon_basis(vectors))
+        return cls(ambient_dim, vectors)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -406,9 +402,11 @@ def matrix_from_json(obj: dict) -> RatMatrix:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if any(not isinstance(n, int) or isinstance(n, bool) for n in (rows, cols)):
         raise ValueError("matrix rows/cols must be integers")
+    if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
+        raise ValueError("matrix entries must be a list of row lists")
+    if len(entries) != rows or any(len(r) != cols for r in entries):
+        raise ValueError("matrix entry grid does not match stated shape")
     try:
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("matrix entry grid does not match stated shape")
         return RatMatrix(rows, cols, (frac(x) for row in entries for x in row))
     except TypeError as exc:
         raise ValueError(f"malformed matrix entries: {exc}") from exc

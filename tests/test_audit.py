@@ -18,6 +18,7 @@ from preab.audit import (
     AuditConfig,
     AuditReport,
     GenerationExhausted,
+    _plan,
     decide_verdict,
     generate_instance,
     instance_size,
@@ -28,13 +29,14 @@ from preab.backends import get_backend
 from preab.conditions import (
     CheckResult,
     MorphismInstance,
+    PairInstance,
     ProbeInstance,
     SquareInstance,
     check_condition,
     instance_from_json,
     run_check,
 )
-from preab.core import Square, classify, kernel
+from preab.core import ConstraintViolation, Square, classify, kernel, pullback, pushout
 from preab.linalg import RatMatrix, Subspace
 
 import preab.audit as audit_module
@@ -152,6 +154,83 @@ def subvect_witness(ambient):
     dom = cat.make_object((ambient, (Subspace.zero(ambient),)))
     cod = cat.make_object((ambient, (Subspace.full(ambient),)))
     return cat.make_morphism(dom, cod, RatMatrix.identity(ambient))
+
+
+def _subvect_edge(dom, cod, rows):
+    """A subvect morphism between (dim, layer spanned by cols) objects."""
+    cat = get_backend("subvect")
+    ends = [cat.make_object((dim, (Subspace.span(dim, cols),))) for dim, cols in (dom, cod)]
+    return cat.make_morphism(ends[0], ends[1], RatMatrix.from_rows(rows, cols=dom[0]))
+
+
+# ambient dimension and spanning columns of the marked layer
+DIAG2 = (2, [[1, 1]])
+FULL1 = (1, [[1]])
+ZERO1 = (1, [])
+AXIS2 = (2, [[1, 0]])
+
+
+def _shape_instances():
+    edge = _subvect_edge
+    return {
+        "morphism": MorphismInstance(edge(DIAG2, DIAG2, [[1, 0], [0, 1]])),
+        "pair": PairInstance(outer=edge(DIAG2, FULL1, [[1, 0]]),
+                             inner=edge(FULL1, DIAG2, [[1], [1]])),
+        "pushout": SquareInstance(pushout(edge(DIAG2, FULL1, [[1, 0]]),
+                                          edge(DIAG2, DIAG2, [[1, 0], [0, 1]]))),
+        "pullback": SquareInstance(pullback(edge(FULL1, DIAG2, [[1], [1]]),
+                                            edge(DIAG2, DIAG2, [[1, 0], [0, 1]]))),
+        # zero left and right edges keep every coordinate deletion commutative
+        "commutative": SquareInstance(Square(
+            top=edge(DIAG2, DIAG2, [[1, 0], [0, 1]]), left=edge(DIAG2, FULL1, [[0, 0]]),
+            bottom=edge(FULL1, DIAG2, [[1], [1]]), right=edge(DIAG2, DIAG2, [[0, 0], [0, 0]]))),
+        "kernel-probe": ProbeInstance(role="kernel", f=edge(FULL1, DIAG2, [[1], [1]]),
+                                      along=edge(FULL1, AXIS2, [[1], [0]])),
+        "cokernel-probe": ProbeInstance(role="cokernel", f=edge(DIAG2, FULL1, [[1, 0]]),
+                                        along=edge(ZERO1, FULL1, [[1]])),
+    }
+
+
+PLAN_SITES = {
+    "morphism": [(0, {"f": "col"}), (1, {"f": "row"})],
+    "pair": [(0, {"inner": "col"}), (1, {"inner": "row", "outer": "col"}),
+             (2, {"outer": "row"})],
+    "pushout": [(0, {"left": "col", "top": "col"}), (1, {"left": "row"}),
+                (2, {"top": "row"})],
+    "pullback": [(0, {"bottom": "col"}), (1, {"right": "col"}),
+                 (2, {"bottom": "row", "right": "row"})],
+    "commutative": [(0, {"top": "col", "left": "col"}), (1, {"left": "row", "bottom": "col"}),
+                    (2, {"top": "row", "right": "col"}), (3, {"bottom": "row", "right": "row"})],
+    "kernel-probe": [(0, {"f": "col", "along": "col"}), (1, {"f": "row"}),
+                     (2, {"along": "row"})],
+    "cokernel-probe": [(0, {"f": "col"}), (1, {"f": "row", "along": "row"}),
+                       (2, {"along": "col"})],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PLAN_SITES))
+def test_shrink_plan_sites_and_coordinate_deletion(shape):
+    inst = _shape_instances()[shape]
+    payloads, mats, sites, rebuild = _plan(inst)
+    assert sites == PLAN_SITES[shape]
+    cat = inst.category
+    size = instance_size(inst)
+    rebuilt = 0
+    for obj_idx, touched in sites:
+        for j in range(cat.ambient_dim(payloads[obj_idx])):
+            ps = list(payloads)
+            ps[obj_idx] = cat.drop_coordinate(ps[obj_idx], j)
+            ms = {name: (mat if name not in touched else
+                         mat.delete_column(j) if touched[name] == "col" else mat.delete_row(j))
+                  for name, mat in mats.items()}
+            try:
+                smaller = rebuild(ps, ms)
+            except ConstraintViolation:
+                continue
+            assert type(smaller) is type(inst)
+            assert instance_size(smaller) == size - 1
+            rebuilt += 1
+    assert rebuilt > 0
 
 
 class TestShrink:

@@ -259,6 +259,12 @@ class TestDecomposeCommand:
         json.dumps({**LATZ_DOUBLING, "dom": {"rank": True}}),
         json.dumps({"backend": "vectq", "dom": {"dim": True}, "cod": {"dim": 1},
                     "matrix": {"rows": 1, "cols": 1, "entries": [["1"]]}}),
+        json.dumps({**LATZ_DOUBLING, "cod": {"rank": 2},
+                    "matrix": {"rows": 2, "cols": 1, "entries": ["1", "2"]}}),
+        json.dumps({**LATZ_DOUBLING, "dom": {"rank": 2},
+                    "matrix": {"rows": 1, "cols": 2, "entries": ["12"]}}),
+        json.dumps({**LATZ_DOUBLING, "matrix": {"rows": 1, "cols": 1,
+                                                "entries": {"2": ["2"]}}}),
     ])
     def test_malformed_morphism_exits_one(self, monkeypatch, capsys, text):
         code, _, err = run_main(["decompose"], stdin_text=text,

@@ -232,6 +232,9 @@ def test_strict_iff_middle_arrow_iso(name):
         f = rand_pair(cat, rng)
         c = classify(f)
         assert c.strict == cat.is_iso(decompose(f).fbar)
+        # classify reads mono/epi off decompose's cones; rebuild them fresh
+        assert c.mono == cat.is_zero_object(kernel(f).apex)
+        assert c.epi == cat.is_zero_object(cokernel(f).apex)
         assert c.is_kernel == (c.mono and c.strict)
         assert c.is_cokernel == (c.epi and c.strict)
 

@@ -16,6 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preab.lattice import IntLattice, column_hnf
 from preab.linalg import (
     RatMatrix,
     Subspace,
@@ -169,11 +170,6 @@ def test_canonical_form_is_span_invariant():
     assert s1.dim == 2
 
 
-def test_subspace_rejects_non_canonical_basis():
-    with pytest.raises(ValueError):
-        Subspace(2, _m([[2], [0]]))
-
-
 # ------------------------------------------------------------- properties
 
 def _random_matrix(rng: random.Random, rows: int, cols: int, span: int = 3) -> RatMatrix:
@@ -187,6 +183,20 @@ def _to_sympy(m: RatMatrix):
 
 def _from_sympy(m) -> RatMatrix:
     return RatMatrix(m.rows, m.cols, (Fraction(x.p, x.q) for x in m))
+
+
+def test_constructors_store_the_canonical_form():
+    rng = random.Random("canonical constructors")
+    for _ in range(60):
+        n = rng.randint(0, 4)
+        m = _random_matrix(rng, n, rng.randint(0, 4))
+        s, lat = Subspace(n, m), IntLattice(n, m)
+        assert s.basis == column_echelon_basis(m)
+        assert lat.basis == column_hnf(m)
+        # a canonical basis goes through the constructor unchanged
+        assert Subspace(n, s.basis).basis == s.basis
+        assert IntLattice(n, lat.basis).basis == lat.basis
+    assert Subspace(2, _m([[2], [0]])) == Subspace(2, _m([[1], [0]]))
 
 
 def test_rref_and_rank_match_sympy():
@@ -336,3 +346,12 @@ def test_matrix_json_rejects_garbage():
         matrix_from_json({"rows": 1, "cols": 1, "entries": [[1.5]]})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 1, "cols": 1, "entries": 7})
+    # strings and objects have a length and iterate, but are not rows
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": 1, "cols": 2, "entries": ["12"]})
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": 1, "cols": 2, "entries": [{"1": 0, "2": 0}]})
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": 1, "cols": 1, "entries": "1"})
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": 1, "cols": 1, "entries": {"1": ["1"]}})
