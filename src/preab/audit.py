@@ -3,7 +3,10 @@
 An audit samples three kinds of evidence, entirely determined by its
 config: a strictness scan of random morphisms, per-condition instances
 for the full two-sided catalog (built non-vacuous by construction), and
-semi-stability probes of constructed kernels and cokernels.  The tallies
+semi-stability probes of constructed kernels and cokernels.  Each
+condition sample is checked once: generation checks every attempt to
+reject vacuous ones, and its first non-vacuous result is what gets
+tallied.  The tallies
 feed a documented decision table that places the backend in a hierarchy
 of consistency verdicts; every failing check is shrunk to a small
 replayable witness.
@@ -191,11 +194,14 @@ def _generate_right(cat: Category, index: str, rng: random.Random, bound: int):
     raise ValueError(f"unknown condition index: {index!r}")
 
 
-def generate_instance(backend: str, cond, dim_bound: int, seed):
-    """Deterministically build a non-vacuous instance for one condition.
+def generate_instance(backend: str, cond, dim_bound: int, seed) -> CheckResult:
+    """Deterministically build and check a non-vacuous instance for one condition.
 
-    Retries a few reseeded attempts when a construction degenerates into
-    a vacuous instance; raises GenerationExhausted when they all do.
+    Returns the CheckResult of the first attempt whose verdict is not
+    vacuous; the instance is its .instance.  Checkers are pure, so this is
+    exactly what checking that instance afresh returns.  Retries a few
+    reseeded attempts when a construction degenerates into a vacuous
+    instance; raises GenerationExhausted when they all do.
     """
     cond = ConditionId.parse(cond) if isinstance(cond, str) else cond
     base = get_backend(backend)
@@ -205,8 +211,9 @@ def generate_instance(backend: str, cond, dim_bound: int, seed):
         inst = _generate_right(cat, cond.index, rng, dim_bound)
         if cond.side == "left":
             inst = inst.dualize()
-        if check_condition(cond, inst).verdict != VACUOUS:
-            return inst
+        res = check_condition(cond, inst)
+        if res.verdict != VACUOUS:
+            return res
     raise GenerationExhausted(f"no non-vacuous instance for {cond} from seed {seed!r}")
 
 
@@ -403,10 +410,9 @@ class AuditReport:
 
 def _evaluate_condition_job(backend, cond_name, dim_bound, seed):
     try:
-        inst = generate_instance(backend, cond_name, dim_bound, seed)
+        res = generate_instance(backend, cond_name, dim_bound, seed)
     except GenerationExhausted:
         return ("exhausted", None)
-    res = check_condition(cond_name, inst)
     return (res.verdict, res)
 
 

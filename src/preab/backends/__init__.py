@@ -17,6 +17,8 @@ BACKENDS: dict[str, Category] = {
 
 
 def get_backend(name: str) -> Category:
+    if not isinstance(name, str):
+        raise ValueError(f"backend name must be a string, got {name!r}")
     try:
         return BACKENDS[name]
     except KeyError:

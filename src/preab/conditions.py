@@ -532,20 +532,31 @@ def check_image_slide(f: Morphism, g: Morphism, side: str) -> CheckResult:
 # semi-stability
 
 
+def _require_role(f: Morphism, role: str) -> None:
+    if role not in ("kernel", "cokernel"):
+        raise ValueError(f"unknown probe role: {role!r}")
+    flags = classify(f)
+    if not (flags.is_kernel if role == "kernel" else flags.is_cokernel):
+        raise ValueError(f"probed morphism is not a {role}")
+
+
 def check_semistable_step(inst: ProbeInstance) -> CheckResult:
-    """One semi-stability sample: push the morphism out, reclassify the copy."""
-    flags = classify(inst.f)
+    """One semi-stability sample: push the morphism out, reclassify the copy.
+
+    Classifies inst.f first and raises ValueError unless it plays its
+    role; this is the entry point for replay and shrinking.
+    """
+    _require_role(inst.f, inst.role)
+    return _semistable_step(inst)
+
+
+def _semistable_step(inst: ProbeInstance) -> CheckResult:
+    """check_semistable_step for a probed morphism whose role is validated."""
     if inst.role == "kernel":
-        if not flags.is_kernel:
-            raise ValueError("probed morphism is not a kernel")
-        sq = pushout(inst.along, inst.f)
-        moved = classify(sq.bottom)
+        moved = classify(pushout(inst.along, inst.f).bottom)
         ok = moved.is_kernel
     else:
-        if not flags.is_cokernel:
-            raise ValueError("probed morphism is not a cokernel")
-        sq = pullback(inst.f, inst.along)
-        moved = classify(sq.top)
+        moved = classify(pullback(inst.f, inst.along).top)
         ok = moved.is_cokernel
     if ok:
         return CheckResult("semistable", PASS, inst)
@@ -562,15 +573,10 @@ def probe_semistable(f: Morphism, role: str, n_samples: int, seed,
     Falsification only: "pass" means no counterexample surfaced within
     n_samples tries, never a proof.  A failing result carries the single
     offending sample, which replays through check_semistable_step.
+    f is classified once, to validate its role, before any sample.
     """
     cat = f.category
-    flags = classify(f)
-    if role == "kernel" and not flags.is_kernel:
-        raise ValueError("probed morphism is not a kernel")
-    if role == "cokernel" and not flags.is_cokernel:
-        raise ValueError("probed morphism is not a cokernel")
-    if role not in ("kernel", "cokernel"):
-        raise ValueError(f"unknown probe role: {role!r}")
+    _require_role(f, role)
     for i in range(n_samples):
         rng = random.Random(f"{seed}:semistable:{i}")
         other = cat.random_object(rng, dim_bound)
@@ -578,7 +584,7 @@ def probe_semistable(f: Morphism, role: str, n_samples: int, seed,
             along = cat.random_morphism(rng, f.dom, other)
         else:
             along = cat.random_morphism(rng, other, f.cod)
-        step = check_semistable_step(ProbeInstance(role=role, f=f, along=along))
+        step = _semistable_step(ProbeInstance(role=role, f=f, along=along))
         if step.verdict == FAIL:
             witness = dict(step.witness)
             witness["sample_index"] = i

@@ -12,18 +12,28 @@ True
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+
+# the only string forms written for a rational: "-3", "3/4", ...
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def frac(x) -> Fraction:
     """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction.
 
-    Any other type, bool included, is a TypeError; a string that names
-    no rational number, such as ``"1/0"``, is a ValueError.
+    Any other type, bool included, is a TypeError.  A string must be an
+    optional sign and digits, optionally over ``/digits``; anything else,
+    such as ``"1e3"``, ``"2.5"`` or ``"1/0"``, is a ValueError.  Decimal
+    and exponent forms are refused because ``"1e999999999"`` would build
+    an integer of a billion digits.
     """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+        raise ValueError(f"{x!r} is not an integer or a ratio of integers")
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)

@@ -121,22 +121,42 @@ class TestGeneration:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("cond", CONDITION_NAMES)
     def test_generated_instances_are_non_vacuous(self, backend, cond):
-        inst = generate_instance(backend, cond, 3, "gen-tests")
-        assert check_condition(cond, inst).verdict in ("pass", "fail")
+        res = generate_instance(backend, cond, 3, "gen-tests")
+        fresh = check_condition(cond, res.instance)
+        assert fresh.verdict in ("pass", "fail")
+        # generation hands over exactly the result a fresh check computes
+        assert fresh == res
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("cond", CONDITION_NAMES)
     def test_generated_instances_round_trip(self, backend, cond):
-        inst = generate_instance(backend, cond, 3, "gen-tests")
+        inst = generate_instance(backend, cond, 3, "gen-tests").instance
         blob = json.loads(json.dumps(inst.to_json()))
         assert instance_from_json(blob).to_json() == inst.to_json()
 
     def test_generation_is_deterministic(self):
-        a = generate_instance("subvect", "right.iii", 3, "repeat")
-        b = generate_instance("subvect", "right.iii", 3, "repeat")
-        c = generate_instance("subvect", "right.iii", 3, "other")
+        a = generate_instance("subvect", "right.iii", 3, "repeat").instance
+        b = generate_instance("subvect", "right.iii", 3, "repeat").instance
+        c = generate_instance("subvect", "right.iii", 3, "other").instance
         assert a.to_json() == b.to_json()
         assert c.to_json() != a.to_json()
+
+    def test_each_condition_sample_is_checked_once(self, monkeypatch):
+        calls = {"check": 0, "build": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(audit_module, "check_condition",
+                            counted("check", audit_module.check_condition))
+        monkeypatch.setattr(audit_module, "_generate_right",
+                            counted("build", audit_module._generate_right))
+        run_audit(small_config("vectq"))
+        # one check per built attempt; none repeated by the condition job
+        assert calls["check"] == calls["build"] >= 14 * 6
 
     def test_instance_size_sums_ambient_dims(self):
         cat = get_backend("vectq")
@@ -368,7 +388,7 @@ class TestFailureInjection:
 
         def planted(backend, cond, dim_bound, seed):
             if cond == "right.iii":
-                return SquareInstance(lying_pushout_square())
+                return check_condition("right.iii", SquareInstance(lying_pushout_square()))
             return real(backend, cond, dim_bound, seed)
 
         monkeypatch.setattr(audit_module, "generate_instance", planted)

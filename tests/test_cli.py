@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, canonical bytes, report envelope."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -33,6 +34,18 @@ LATZ_DOUBLING = {"backend": "latz", "dom": {"rank": 1}, "cod": {"rank": 1},
 AUDIT_CONFIG = {"backend": "vectq", "seed": "cli-tests", "dim_bound": 3,
                 "samples": {"default": 4, "strictness": 12, "semistable": 1},
                 "min_nonvacuous": 2, "probe_steps": 3}
+
+# the benchmark's audit config, and the SHA-256 of the report each backend
+# prints for it: a change that alters these bytes must say why
+REFERENCE_CONFIG = {"backend": "vectq", "seed": "bench", "dim_bound": 3,
+                    "samples": {"default": 10, "strictness": 20, "semistable": 2},
+                    "min_nonvacuous": 5, "probe_steps": 5}
+REFERENCE_SHA256 = {
+    "vectq": "3f0214bf4e372f4d7c4ab3dcc79e00bc1041c80fcbc47677c836caec2c6ec41a",
+    "subvect": "e63295a015c8b0d011d452c3c1973709e8fbc11a5a7f1b671dbdce40437d11ad",
+    "filtvect3": "b165e4d4ea7ad95da7c135b4e31c2b6bc07d717db6467426897fa6117604d1a2",
+    "latz": "512fd0f6ed58f5736aa6748399df137f9380a918032b8649fdbd221be984fe30",
+}
 
 
 def run_main(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -117,6 +130,14 @@ class TestAuditCommand:
         assert doc["config"]["backend"] == "latz"
         assert doc["config"]["seed"] == "ovr"
 
+    @pytest.mark.parametrize("backend", sorted(REFERENCE_SHA256))
+    def test_reference_report_bytes(self, tmp_path, capsys, backend):
+        cfg = write_json(tmp_path, "cfg.json", REFERENCE_CONFIG)
+        code = main(["audit", "--config", cfg, "--backend", backend])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_SHA256[backend]
+
     def test_config_on_stdin(self, monkeypatch, capsys):
         code, out, err = run_main(["audit", "--config", "-"],
                                   stdin_text=json.dumps(AUDIT_CONFIG),
@@ -149,6 +170,8 @@ class TestAuditCommand:
         {"backend": "vectq", "bogus": 1},
         {"seed": "no-backend"},
         {"backend": "vectq", "dim_bound": 0},
+        {"backend": ["vectq"]},
+        {"backend": {"a": 1}},
     ])
     def test_bad_config_exits_one(self, tmp_path, capsys, blob):
         cfg = write_json(tmp_path, "cfg.json", blob)
@@ -254,6 +277,8 @@ class TestDecomposeCommand:
                                                 "entries": [["1"]]}}),
         json.dumps({**LATZ_DOUBLING, "matrix": {"rows": 1, "cols": 1,
                                                 "entries": [["1/0"]]}}),
+        json.dumps({**LATZ_DOUBLING, "matrix": {"rows": 1, "cols": 1,
+                                                "entries": [["1e3"]]}}),
         json.dumps({**LATZ_DOUBLING, "matrix": {"rows": True, "cols": 1,
                                                 "entries": [["2"]]}}),
         json.dumps({**LATZ_DOUBLING, "dom": {"rank": True}}),

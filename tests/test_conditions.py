@@ -42,6 +42,8 @@ from preab.conditions import (
 from preab.core import Square, classify, cokernel, kernel, pullback, pushout
 from preab.linalg import RatMatrix, Subspace
 
+import preab.conditions as conditions_module
+
 ALL = sorted(BACKENDS)
 
 
@@ -383,6 +385,23 @@ def test_probe_role_validation():
         probe_semistable(VECTQ.identity(one), "sideways", 5, "x")
     with pytest.raises(ValueError):
         check_semistable_step(ProbeInstance(role="kernel", f=z, along=VECTQ.identity(one)))
+
+
+def test_probe_classifies_the_probed_morphism_once(monkeypatch):
+    rng = random.Random("probe-once")
+    m = SUBVECT.random_object(rng, 3)
+    k = kernel(SUBVECT.random_morphism(rng, m, SUBVECT.random_object(rng, 3))).leg
+    seen = []
+    real = conditions_module.classify
+
+    def counting(g):
+        seen.append(g is k)
+        return real(g)
+
+    monkeypatch.setattr(conditions_module, "classify", counting)
+    assert probe_semistable(k, "kernel", 5, "once").verdict == "pass"
+    # the role check once, then one moved copy per step
+    assert seen == [True] + [False] * 5
 
 
 def test_semistable_step_replay():

@@ -344,6 +344,11 @@ def test_matrix_json_rejects_garbage():
         matrix_from_json({"rows": 1, "cols": 1, "entries": [[True]]})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 1, "cols": 1, "entries": [[1.5]]})
+    # only integers and ratios of integers; decimal and exponent strings
+    # would otherwise reach Fraction, which builds 10**n for "1en"
+    for text in ("1e3", "1E3", "2.5"):
+        with pytest.raises(ValueError):
+            matrix_from_json({"rows": 1, "cols": 1, "entries": [[text]]})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 1, "cols": 1, "entries": 7})
     # strings and objects have a length and iterate, but are not rows
