@@ -86,29 +86,13 @@ class MatrixBackend(Category):
         apex_payload, leg_matrix = self.kernel_data(f)
         apex = CatObject(self, apex_payload)
         leg = Morphism(self, apex, f.dom, leg_matrix)
-
-        def factor(x: Morphism) -> Optional[Morphism]:
-            if x.cod != f.dom:
-                raise ValueError("test morphism must land in dom(f)")
-            if not self.is_zero_morphism(self.compose(f, x)):
-                return None
-            return self.divide_left(leg, x)
-
-        return Cone(kind="kernel", of=f, apex=apex, leg=leg, factor=factor)
+        return Cone(kind="kernel", of=f, apex=apex, leg=leg)
 
     def cokernel(self, f: Morphism) -> Cone:
         apex_payload, leg_matrix = self.cokernel_data(f)
         apex = CatObject(self, apex_payload)
         leg = Morphism(self, f.cod, apex, leg_matrix)
-
-        def factor(x: Morphism) -> Optional[Morphism]:
-            if x.dom != f.cod:
-                raise ValueError("test morphism must start at cod(f)")
-            if not self.is_zero_morphism(self.compose(x, f)):
-                return None
-            return self.divide_right(leg, x)
-
-        return Cone(kind="cokernel", of=f, apex=apex, leg=leg, factor=factor)
+        return Cone(kind="cokernel", of=f, apex=apex, leg=leg)
 
     def divide_left(self, g: Morphism, h: Morphism) -> Optional[Morphism]:
         if g.cod != h.cod:

@@ -1,9 +1,10 @@
 """Finitely generated free abelian groups with integer matrix maps.
 
 Objects are the groups Z^r; morphisms are integer matrices.  Kernels
-are the honest integer kernels (automatically saturated sublattices,
-hence free); the cokernel of f projects onto Z^m modulo the saturation
-of the image of f, which keeps every object torsion-free.  The price is
+are the honest integer kernels, read off one Hermite normal form (they
+are saturated sublattices, hence free); the cokernel of f projects onto
+Z^m modulo the saturation of the image of f, which keeps every object
+torsion-free.  The price is
 that surjectivity and epimorphy come apart: multiplication by 2 on Z is
 both mono and epi here, but certainly not invertible.
 """
@@ -11,11 +12,10 @@ both mono and epi here, but certainly not invertible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from ..core import CatObject, ConstraintViolation, Morphism
-from ..lattice import IntLattice, pure_quotient_rows, saturate
-from ..linalg import RatMatrix, kernel_basis, matrix_from_json, matrix_to_json
+from ..lattice import IntLattice, integer_kernel, pure_quotient_rows, saturate
+from ..linalg import RatMatrix, matrix_from_json, matrix_to_json
 from .base import MatrixBackend
 
 
@@ -51,15 +51,7 @@ class LatZBackend(MatrixBackend):
             raise ConstraintViolation("matrix must have integer entries")
 
     def kernel_data(self, f: Morphism):
-        n = f.dom.payload
-        k = kernel_basis(f.payload)
-        cols = []
-        for j in range(k.dim):
-            col = k.basis.column(j)
-            scale = lcm(*(x.denominator for x in col)) if col else 1
-            cols.append([x * scale for x in col])
-        gens = RatMatrix.from_columns(cols, rows=n)
-        lat = saturate(IntLattice.span(n, gens))
+        lat = IntLattice(f.dom.payload, integer_kernel(f.payload))
         return lat.rank, lat.basis
 
     def cokernel_data(self, f: Morphism):

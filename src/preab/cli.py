@@ -35,6 +35,8 @@ def _load_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: not valid JSON: {e}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     except OSError as e:
         raise ValueError(f"{path}: {e.strerror or e}") from None
 

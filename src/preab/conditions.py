@@ -327,10 +327,25 @@ def _pushout_shaped(sq: Square) -> bool:
     return sq.provenance == "pushout" or is_pushout(sq)
 
 
+def _pushout_of_kernel(sq: Square) -> bool:
+    # the shared hypothesis of right.iii, right.iv and right.v
+    return _pushout_shaped(sq) and classify(sq.top).is_kernel
+
+
+def _bottom_mono(check: str, inst: SquareInstance) -> CheckResult:
+    flags = classify(inst.square.bottom)
+    if flags.mono:
+        return CheckResult(check, PASS, inst)
+    return CheckResult(check, FAIL, inst, {
+        "reason": "pushed-out-edge-not-mono",
+        "bottom_flags": flags.to_json(),
+    })
+
+
 def check_right_iii(sq: Square) -> CheckResult:
     """A pushout square whose top edge is a kernel is also a pullback."""
     inst = SquareInstance(sq)
-    if not (_pushout_shaped(sq) and classify(sq.top).is_kernel):
+    if not _pushout_of_kernel(sq):
         return CheckResult("right.iii", VACUOUS, inst)
     if is_pullback(sq):
         return CheckResult("right.iii", PASS, inst)
@@ -344,31 +359,17 @@ def check_right_iii(sq: Square) -> CheckResult:
 def check_right_iv(sq: Square) -> CheckResult:
     """A pushout square whose top edge is a kernel has a mono bottom edge."""
     inst = SquareInstance(sq)
-    if not (_pushout_shaped(sq) and classify(sq.top).is_kernel):
+    if not _pushout_of_kernel(sq):
         return CheckResult("right.iv", VACUOUS, inst)
-    flags = classify(sq.bottom)
-    if flags.mono:
-        return CheckResult("right.iv", PASS, inst)
-    return CheckResult("right.iv", FAIL, inst, {
-        "reason": "pushed-out-edge-not-mono",
-        "bottom_flags": flags.to_json(),
-    })
+    return _bottom_mono("right.iv", inst)
 
 
 def check_right_v(sq: Square) -> CheckResult:
     """As right.iv, under the extra hypothesis that the right edge is a cokernel."""
     inst = SquareInstance(sq)
-    applicable = (_pushout_shaped(sq) and classify(sq.top).is_kernel
-                  and classify(sq.right).is_cokernel)
-    if not applicable:
+    if not (_pushout_of_kernel(sq) and classify(sq.right).is_cokernel):
         return CheckResult("right.v", VACUOUS, inst)
-    flags = classify(sq.bottom)
-    if flags.mono:
-        return CheckResult("right.v", PASS, inst)
-    return CheckResult("right.v", FAIL, inst, {
-        "reason": "pushed-out-edge-not-mono",
-        "bottom_flags": flags.to_json(),
-    })
+    return _bottom_mono("right.v", inst)
 
 
 def check_right_vi(h: Morphism, l: Morphism) -> CheckResult:

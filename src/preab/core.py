@@ -15,7 +15,7 @@ is an isomorphism.  See :func:`subobject_iso` and :func:`quotient_iso`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 
 class ConstraintViolation(ValueError):
@@ -95,7 +95,20 @@ class Cone:
     of: Morphism
     apex: CatObject
     leg: Morphism
-    factor: Callable[[Morphism], Optional[Morphism]]
+
+    def factor(self, x: Morphism) -> Optional[Morphism]:
+        f, c = self.of, self.of.category
+        if self.kind == "kernel":
+            if x.cod != f.dom:
+                raise ValueError("test morphism must land in dom(f)")
+            if not c.is_zero_morphism(c.compose(f, x)):
+                return None
+            return c.divide_left(self.leg, x)
+        if x.dom != f.cod:
+            raise ValueError("test morphism must start at cod(f)")
+        if not c.is_zero_morphism(c.compose(x, f)):
+            return None
+        return c.divide_right(self.leg, x)
 
 
 @dataclass
@@ -363,12 +376,7 @@ class Opposite(Category):
 
     # limits
     def _dual_cone(self, cone: Cone, of: Morphism, kind: str) -> Cone:
-        def factor(x: Morphism) -> Optional[Morphism]:
-            u = cone.factor(self.unwrap(x))
-            return None if u is None else self.wrap(u)
-
-        return Cone(kind=kind, of=of, apex=self._obj(cone.apex),
-                    leg=self.wrap(cone.leg), factor=factor)
+        return Cone(kind=kind, of=of, apex=self._obj(cone.apex), leg=self.wrap(cone.leg))
 
     def kernel(self, f):
         return self._dual_cone(self.base.cokernel(self.unwrap(f)), f, "kernel")

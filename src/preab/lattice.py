@@ -2,10 +2,11 @@
 
 Finitely generated subgroups of Z^n are represented by a basis matrix
 in a column-style Hermite normal form, which is unique per subgroup and
-therefore usable for equality tests.  The Smith normal form (with its
-transform matrices) supplies saturations and torsion-free quotient
-projections; both are needed to take kernels and cokernels of integer
-matrices inside the category of finitely generated free abelian groups.
+therefore usable for equality tests.  The same Hermite form computes
+integer kernels, and through them saturations; the Smith normal form
+(with its row transform) supplies torsion-free quotient projections.
+Together they take kernels and cokernels of integer matrices inside the
+category of finitely generated free abelian groups.
 
 All matrices are :class:`preab.linalg.RatMatrix` values whose entries
 happen to be integers; everything stays exact.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import RatMatrix, solve_right
+from .linalg import RatMatrix, solve_right, vstack
 
 
 def _int_grid(m: RatMatrix) -> list[list[int]]:
@@ -70,36 +71,43 @@ def column_hnf(m: RatMatrix) -> RatMatrix:
     return RatMatrix(nrows, done, (Fraction(kept[j][i]) for i in range(nrows) for j in range(done)))
 
 
-def smith_with_transforms(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix, RatMatrix]:
-    """Smith normal form: returns (u, uinv, d, v) with u @ m @ v == d.
+def integer_kernel(m: RatMatrix) -> RatMatrix:
+    """Z-basis of {x in Z^cols : m @ x == 0}, as the columns of a matrix.
 
-    ``u`` and ``v`` are unimodular, ``uinv`` is the exact inverse of
-    ``u`` (tracked during elimination, not recomputed), and ``d`` is
-    diagonal with non-negative entries satisfying d[i] | d[i+1].
+    The column Hermite form of [m; I] is [m; I] @ w for a unimodular w
+    (no column is dropped, since [m; I] has full column rank).  Its
+    columns whose top block is zero carry a basis of the kernel in their
+    bottom block (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4.3).
+    """
+    h = column_hnf(vstack(m, RatMatrix.identity(m.cols)))
+    keep = [j for j in range(h.cols) if all(h.entry(i, j) == 0 for i in range(m.rows))]
+    return RatMatrix(m.cols, len(keep),
+                     (h.entry(m.rows + i, j) for i in range(m.cols) for j in keep))
+
+
+def smith_with_transforms(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
+    """Smith normal form: returns (u, d, v) with u @ m @ v == d.
+
+    ``u`` and ``v`` are unimodular and ``d`` is diagonal with
+    non-negative entries satisfying d[i] | d[i+1].
     """
     nrows, ncols = m.rows, m.cols
     a = _int_grid(m)
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    uinv = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
-    def row_op(i, k, q):  # row i -= q * row k; uinv gets the inverse column op
+    def row_op(i, k, q):  # row i -= q * row k
         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
         u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-        for r in range(nrows):
-            uinv[r][k] += q * uinv[r][i]
 
     def row_swap(i, k):
         a[i], a[k] = a[k], a[i]
         u[i], u[k] = u[k], u[i]
-        for r in range(nrows):
-            uinv[r][i], uinv[r][k] = uinv[r][k], uinv[r][i]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for r in range(nrows):
-            uinv[r][i] = -uinv[r][i]
 
     def col_op(j, k, q):  # col j -= q * col k
         for r in range(nrows):
@@ -162,14 +170,13 @@ def smith_with_transforms(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix
         t += 1
     return (
         _grid_matrix(u, nrows, nrows),
-        _grid_matrix(uinv, nrows, nrows),
         _grid_matrix(a, nrows, ncols),
         _grid_matrix(v, ncols, ncols),
     )
 
 
 def elementary_divisors(m: RatMatrix) -> list[int]:
-    _, _, d, _ = smith_with_transforms(m)
+    _, d, _ = smith_with_transforms(m)
     out = []
     for i in range(min(d.rows, d.cols)):
         x = d.entry(i, i)
@@ -238,16 +245,12 @@ class IntLattice:
 def saturate(l: IntLattice) -> IntLattice:
     """Smallest subgroup containing ``l`` with torsion-free quotient.
 
-    Computes span_Q(l) intersected with Z^n.  Idempotent and
-    inflationary; the result has the same rank as ``l``.
+    Computes span_Q(l) intersected with Z^n as the integer kernel of the
+    integer annihilator of ``l``.  Idempotent and inflationary; the
+    result has the same rank as ``l``.
     """
-    if l.rank == 0:
-        return l
-    _, uinv, d, _ = smith_with_transforms(l.basis)
-    r = sum(1 for i in range(min(d.rows, d.cols)) if d.entry(i, i) != 0)
-    cols = RatMatrix(l.ambient_dim, r,
-                     (uinv.entry(i, j) for i in range(l.ambient_dim) for j in range(r)))
-    return IntLattice.span(l.ambient_dim, cols)
+    annihilator = integer_kernel(l.basis.transpose())
+    return IntLattice(l.ambient_dim, integer_kernel(annihilator.transpose()))
 
 
 def pure_quotient_rows(l: IntLattice) -> RatMatrix:
@@ -259,7 +262,7 @@ def pure_quotient_rows(l: IntLattice) -> RatMatrix:
     n = l.ambient_dim
     if l.rank == 0:
         return RatMatrix.identity(n)
-    u, _, d, _ = smith_with_transforms(l.basis)
+    u, d, _ = smith_with_transforms(l.basis)
     divisors = [d.entry(i, i) for i in range(min(d.rows, d.cols)) if d.entry(i, i) != 0]
     if any(x != 1 for x in divisors):
         raise ValueError("lattice is not saturated; saturate it first")

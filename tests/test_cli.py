@@ -238,6 +238,7 @@ class TestCheckCommand:
         "not json",
         json.dumps({"kind": "morphism"}),
         json.dumps({**SUBVECT_WITNESS, "kind": "cube"}),
+        pytest.param("[" * 100000 + "]" * 100000, id="deeply-nested"),
     ])
     def test_malformed_instance_exits_one(self, monkeypatch, capsys, text):
         code, _, err = run_main(["check", "strict"], stdin_text=text,
@@ -290,6 +291,7 @@ class TestDecomposeCommand:
                     "matrix": {"rows": 1, "cols": 2, "entries": ["12"]}}),
         json.dumps({**LATZ_DOUBLING, "matrix": {"rows": 1, "cols": 1,
                                                 "entries": {"2": ["2"]}}}),
+        pytest.param("[" * 100000 + "]" * 100000, id="deeply-nested"),
     ])
     def test_malformed_morphism_exits_one(self, monkeypatch, capsys, text):
         code, _, err = run_main(["decompose"], stdin_text=text,

@@ -217,6 +217,16 @@ def test_filtvect3_layer_shift_witness():
     assert c.bimorphism and not c.strict
 
 
+def test_latz_wide_morphism_decomposes(ten_second_alarm):
+    # an 8x7 draw whose image saturation runs for minutes through Smith
+    # elimination
+    rng = random.Random("decompose-wide/21/391")
+    f = LATZ.random_morphism(rng, LATZ.random_object(rng, 8), LATZ.random_object(rng, 8))
+    assert f.payload.shape == (8, 7)
+    d = decompose(f)
+    assert d.recompose() == f
+
+
 def test_latz_inclusion_is_kernel():
     f = LATZ.make_morphism(LATZ.obj(1), LATZ.obj(2), RatMatrix.from_rows([[1], [0]]))
     c = classify(f)

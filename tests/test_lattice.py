@@ -1,4 +1,4 @@
-"""Integer lattice tests: Hermite form, Smith form, saturation.
+"""Integer lattice tests: Hermite form, integer kernels, Smith form, saturation.
 
 Frozen cases were computed by hand; randomized sections cross-check
 against sympy's normal form routines, which share no code with ours.
@@ -17,11 +17,12 @@ from preab.lattice import (
     IntLattice,
     column_hnf,
     elementary_divisors,
+    integer_kernel,
     pure_quotient_rows,
     saturate,
     smith_with_transforms,
 )
-from preab.linalg import RatMatrix, matrix_from_json, matrix_to_json, rank
+from preab.linalg import RatMatrix, invert, matrix_from_json, matrix_to_json, rank
 
 
 def _m(rows, cols=None):
@@ -153,9 +154,11 @@ def test_smith_transform_identity():
     rng = random.Random(107)
     for _ in range(60):
         m = _random_int_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
-        u, uinv, d, v = smith_with_transforms(m)
+        u, d, v = smith_with_transforms(m)
         assert u @ m @ v == d
-        assert u @ uinv == RatMatrix.identity(m.rows)
+        # u is unimodular: its inverse exists and is integral
+        uinv = invert(u)
+        assert uinv is not None and uinv.is_integral()
         # diagonal, non-negative, divisibility chain
         for i in range(d.rows):
             for j in range(d.cols):
@@ -177,6 +180,32 @@ def test_smith_divisors_match_sympy():
         d = smith_normal_form(sy)
         theirs = sorted(abs(d[i, i]) for i in range(min(rows, cols)) if d[i, i] != 0)
         assert sorted(elementary_divisors(m)) == theirs
+
+
+def test_integer_kernel_matches_sympy():
+    rng = random.Random(131)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        m = _random_int_matrix(rng, rows, cols)
+        k = integer_kernel(m)
+        assert k.rows == cols and k.is_integral()
+        assert (m @ k).is_zero()
+        sy = sympy.Matrix(rows, cols, lambda i, j: int(m.entry(i, j)))
+        assert k.cols == cols - sy.rank()
+        # a Z-basis of the kernel, not a finite-index sublattice of it
+        assert all(x == 1 for x in elementary_divisors(k))
+
+
+def test_saturate_wide_index_sublattice_returns(ten_second_alarm):
+    # rank 3 in Z^8 with large coefficients, reached by a latz pullback;
+    # Smith elimination on this basis grows its entries about sixfold per
+    # pass, so saturation must not go through it
+    rows = [[151, 0, 0], [0, 151, 0], [0, 0, 151], [375, 226, -303], [416, 204, -196],
+            [-589, -148, 308], [-676, -256, 394], [189, 219, -166]]
+    l = IntLattice.span(8, _m(rows))
+    s = saturate(l)
+    assert s.rank == 3
+    assert s.contains(l)
 
 
 def test_saturation_properties():
