@@ -28,6 +28,7 @@ from ..linalg import (
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
+    pivot_columns,
     preimage,
     pushforward,
     solve_right,
@@ -49,30 +50,16 @@ def _adapted_columns(dim: int, layers: tuple[Subspace, ...]) -> tuple[RatMatrix,
 
     Returns (p, block) where column j of p belongs to layer block[j]
     (len(layers) meaning "outside every layer"); the columns of each
-    initial segment span the corresponding layer.
+    initial segment span the corresponding layer.  The columns of p are
+    the pivot columns of [layer bases... | I]: each candidate not in the
+    span of those before it.
     """
-    cols: list[tuple[Fraction, ...]] = []
-    block: list[int] = []
-
-    def span_contains(v: RatMatrix) -> bool:
-        if not cols:
-            return v.is_zero()
-        m = RatMatrix.from_columns([list(c) for c in cols], rows=dim)
-        return solve_right(m, v) is not None
-
-    for i, layer in enumerate(layers):
-        for j in range(layer.basis.cols):
-            v = RatMatrix(dim, 1, layer.basis.column(j))
-            if not span_contains(v):
-                cols.append(layer.basis.column(j))
-                block.append(i)
-    for k in range(dim):
-        v = RatMatrix(dim, 1, (Fraction(int(i == k)) for i in range(dim)))
-        if not span_contains(v):
-            cols.append(tuple(Fraction(int(i == k)) for i in range(dim)))
-            block.append(len(layers))
-    p = RatMatrix.from_columns([list(c) for c in cols], rows=dim)
-    return p, block
+    blocks = [s.basis for s in layers] + [RatMatrix.identity(dim)]
+    owner = [i for i, b in enumerate(blocks) for _ in range(b.cols)]
+    stacked = hstack(*blocks)
+    pivots = pivot_columns(stacked)
+    p = RatMatrix.from_columns([stacked.column(j) for j in pivots], rows=dim)
+    return p, [owner[j] for j in pivots]
 
 
 class FlagBackend(MatrixBackend):
@@ -131,7 +118,7 @@ class FlagBackend(MatrixBackend):
         _, xs = dom_payload
         _, ys = cod_payload
         for x, y in zip(xs, ys):
-            if not y.contains(pushforward(m, x)):
+            if x.dim and solve_right(y.basis, m @ x.basis) is None:
                 raise ConstraintViolation("matrix does not map marked layers into marked layers")
 
     def kernel_data(self, f: Morphism):
@@ -162,7 +149,7 @@ class FlagBackend(MatrixBackend):
             for _ in range(self.n_layers):
                 extra = rng.randint(0, dim)
                 if extra:
-                    cur = cur + image_basis(_random_matrix(rng, dim, extra))
+                    cur = Subspace(dim, hstack(cur.basis, _random_matrix(rng, dim, extra)))
                 layers.append(cur)
             layers = tuple(layers)
         return CatObject(self, (dim, layers))

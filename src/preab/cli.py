@@ -24,7 +24,7 @@ from .audit import AuditConfig, run_audit
 from .backends import get_backend
 from .conditions import CHECKS, instance_from_json, run_check
 from .core import ConstraintViolation, classify, decompose
-from .report import ReportDocument
+from .report import ReportDocument, emit_report
 
 
 def _load_json(path: str):
@@ -50,7 +50,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _canonical(blob: dict) -> str:
-    return json.dumps(blob, sort_keys=True, indent=2) + "\n"
+    return emit_report(blob)
 
 
 def cmd_audit(args) -> int:

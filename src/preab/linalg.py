@@ -102,9 +102,6 @@ class RatMatrix:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return self._data[j :: self.cols] if self.cols else ()
 
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -236,8 +233,13 @@ def rref(m: RatMatrix) -> RatMatrix:
     return _rref_pivots(m)[0]
 
 
+def pivot_columns(m: RatMatrix) -> tuple[int, ...]:
+    """Indices of the columns of ``m`` not in the span of the columns before them."""
+    return _rref_pivots(m)[1]
+
+
 def rank(m: RatMatrix) -> int:
-    return len(_rref_pivots(m)[1])
+    return len(pivot_columns(m))
 
 
 def column_echelon_basis(m: RatMatrix) -> RatMatrix:
@@ -252,8 +254,8 @@ def column_echelon_basis(m: RatMatrix) -> RatMatrix:
     return RatMatrix.from_columns(cols, rows=m.rows)
 
 
-def kernel_basis(m: RatMatrix) -> "Subspace":
-    """The solution space of m x = 0, as a canonical Subspace of Q^cols."""
+def _kernel_columns(m: RatMatrix) -> RatMatrix:
+    """A basis of the solution space of m x = 0, one column per free variable."""
     r, pivots = _rref_pivots(m)
     free = [c for c in range(m.cols) if c not in pivots]
     cols = []
@@ -263,7 +265,12 @@ def kernel_basis(m: RatMatrix) -> "Subspace":
         for i, p in enumerate(pivots):
             v[p] = -r.entry(i, f)
         cols.append(v)
-    return Subspace(m.cols, RatMatrix.from_columns(cols, rows=m.cols))
+    return RatMatrix.from_columns(cols, rows=m.cols)
+
+
+def kernel_basis(m: RatMatrix) -> "Subspace":
+    """The solution space of m x = 0, as a canonical Subspace of Q^cols."""
+    return Subspace(m.cols, _kernel_columns(m))
 
 
 def image_basis(m: RatMatrix) -> "Subspace":
@@ -293,10 +300,8 @@ def invert(m: RatMatrix) -> RatMatrix | None:
     """Exact inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:
         return None
-    x = solve_right(m, RatMatrix.identity(m.rows))
-    if x is None:
-        return None
-    return x if (m @ x) == RatMatrix.identity(m.rows) else None
+    # [m | I] has a pivot in the I block exactly when m is singular
+    return solve_right(m, RatMatrix.identity(m.rows))
 
 
 class Subspace:
@@ -381,10 +386,16 @@ def pushforward(m: RatMatrix, s: Subspace) -> Subspace:
 
 
 def preimage(m: RatMatrix, s: Subspace) -> Subspace:
-    """The subspace of vectors x with m x in ``s``."""
+    """The subspace of vectors x with m x in ``s``.
+
+    With S = ``s.basis``, the kernel of [m | S] is the set of (x, y) with
+    m x = -S y, so its projection onto the first ``m.cols`` coordinates
+    is the preimage.
+    """
     if m.rows != s.ambient_dim:
         raise ValueError("map codomain does not match subspace ambient space")
-    return kernel_basis(complement_rows(s) @ m)
+    k = _kernel_columns(hstack(m, s.basis))
+    return Subspace(m.cols, RatMatrix(m.cols, k.cols, k._data[: m.cols * k.cols]))
 
 
 def complement_rows(s: Subspace) -> RatMatrix:

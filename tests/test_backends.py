@@ -6,12 +6,14 @@ morphisms through JSON without loss.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from preab import BACKENDS, ConstraintViolation, classify, get_backend
+from preab import BACKENDS, ConstraintViolation, classify, get_backend, linalg
 from preab.backends import FILTVECT3, LATZ, SUBVECT, VECTQ
-from preab.linalg import RatMatrix, Subspace
+from preab.backends.flags import _adapted_columns
+from preab.linalg import RatMatrix, Subspace, invert, preimage, pushforward, solve_right
 
 ALL = sorted(BACKENDS)
 
@@ -71,6 +73,80 @@ def test_subvect_layer_containment_enforced():
     assert SUBVECT.try_morphism(a, b, RatMatrix.identity(1)) is None
     # the zero matrix is always fine
     SUBVECT.make_morphism(a, b, RatMatrix.zeros(1, 1))
+
+
+@pytest.mark.parametrize("name", ["subvect", "filtvect3"])
+def test_flag_constraint_matches_pushforward_containment(name):
+    cat = get_backend(name)
+    rng = random.Random(f"constraints {name}")
+    outcomes = set()
+    for _ in range(150):
+        a, b = cat.random_object(rng, 3), cat.random_object(rng, 3)
+        (n, xs), (m, ys) = a.payload, b.payload
+        mat = RatMatrix(m, n, (Fraction(rng.choice((0, 0, 1, -1))) for _ in range(m * n)))
+        expected = all(y.contains(pushforward(mat, x)) for x, y in zip(xs, ys))
+        assert (cat.try_morphism(a, b, mat) is not None) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def _greedy_adapted_columns(dim, layers):
+    """Each layer basis vector, then each unit vector, kept unless it is in
+    the span of the vectors kept so far."""
+    cols, block = [], []
+
+    def span_contains(v):
+        if not cols:
+            return v.is_zero()
+        return solve_right(RatMatrix.from_columns(cols, rows=dim), v) is not None
+
+    candidates = [(i, s.basis.column(j)) for i, s in enumerate(layers)
+                  for j in range(s.basis.cols)]
+    candidates += [(len(layers), RatMatrix.identity(dim).column(k)) for k in range(dim)]
+    for i, c in candidates:
+        if not span_contains(RatMatrix(dim, 1, c)):
+            cols.append(c)
+            block.append(i)
+    return RatMatrix.from_columns(cols, rows=dim), block
+
+
+@pytest.mark.parametrize("name", ["vectq", "subvect", "filtvect3"])
+def test_adapted_columns_run_up_the_chain(name):
+    cat = get_backend(name)
+    rng = random.Random(f"adapted {name}")
+    for _ in range(60):
+        n, layers = cat.random_object(rng, 4).payload
+        p, block = _adapted_columns(n, layers)
+        assert invert(p) is not None
+        assert block == sorted(block)
+        for i, layer in enumerate(layers):
+            lead = [p.column(j) for j in range(p.cols) if block[j] <= i]
+            assert Subspace(n, RatMatrix.from_columns(lead, rows=n)) == layer
+        assert (p, block) == _greedy_adapted_columns(n, layers)
+
+
+def test_subspace_questions_take_one_elimination_each(monkeypatch):
+    """Counts calls of the one elimination routine, so that a second
+    elimination per question (building a Subspace only to test it, or a
+    solve per candidate vector) shows up."""
+    calls = []
+    real = linalg._rref_pivots
+    monkeypatch.setattr(linalg, "_rref_pivots", lambda m: calls.append(m) or real(m))
+    rng = random.Random("elimination counts")
+    for _ in range(40):
+        a, b = FILTVECT3.random_object(rng, 4), FILTVECT3.random_object(rng, 4)
+        f = FILTVECT3.random_morphism(rng, a, b)
+        (n, xs), (_, ys) = a.payload, b.payload
+        calls.clear()
+        FILTVECT3.check_payload_constraints(a.payload, b.payload, f.payload)
+        assert len(calls) == sum(1 for x in xs if x.dim)
+        for y in ys:
+            calls.clear()
+            preimage(f.payload, y)
+            assert len(calls) == 2
+        calls.clear()
+        _adapted_columns(n, xs)
+        assert len(calls) == 1
 
 
 def test_latz_integrality_enforced():

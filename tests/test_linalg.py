@@ -221,6 +221,25 @@ def test_kernel_matches_sympy_nullspace():
         assert ours == theirs
 
 
+def test_invert_matches_sympy():
+    rng = random.Random("invert against sympy")
+    singular = 0
+    for _ in range(80):
+        n = rng.randint(0, 4)
+        if n and rng.random() < 0.3:
+            k = rng.randint(0, n - 1)  # a product through Q^k has rank <= k < n
+            m = _random_matrix(rng, n, k) @ _random_matrix(rng, k, n)
+        else:
+            m = _random_matrix(rng, n, n, span=rng.choice((1, 3)))
+        sy = _to_sympy(m)
+        if sy.det() == 0:
+            singular += 1
+            assert invert(m) is None
+        else:
+            assert invert(m) == _from_sympy(sy.inv())
+    assert 0 < singular < 80
+
+
 def test_rank_nullity():
     rng = random.Random(11)
     for _ in range(80):
@@ -267,6 +286,8 @@ def test_pushforward_preimage_adjunction():
         t = image_basis(_random_matrix(rng, m_dim, rng.randint(0, m_dim)))
         assert t.contains(pushforward(f, preimage(f, t)))
         assert preimage(f, pushforward(f, s)).contains(s)
+        # the formula through the quotient coordinates of t, as a reference
+        assert preimage(f, t) == kernel_basis(complement_rows(t) @ f)
 
 
 def test_complement_rows_kernel_is_the_subspace():
