@@ -21,6 +21,7 @@ from ..core import CatObject, ConstraintViolation, Morphism
 from ..linalg import (
     RatMatrix,
     Subspace,
+    check_declared_dim,
     complement_rows,
     hstack,
     image_basis,
@@ -196,6 +197,7 @@ class FlagBackend(MatrixBackend):
     def object_from_json(self, obj: dict) -> CatObject:
         try:
             dim = obj["dim"]
+            check_declared_dim(dim, f"{self.name} dim")
             if self.n_layers == 0:
                 layers = ()
             elif self.n_layers == 1:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from ..core import CatObject, ConstraintViolation, Morphism
 from ..lattice import IntLattice, integer_kernel, pure_quotient_rows, saturate
-from ..linalg import RatMatrix, matrix_from_json, matrix_to_json
+from ..linalg import RatMatrix, check_declared_dim, matrix_from_json, matrix_to_json
 from .base import MatrixBackend
 
 
@@ -94,6 +94,7 @@ class LatZBackend(MatrixBackend):
             rank = obj["rank"]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed latz object: {exc}") from exc
+        check_declared_dim(rank, "latz rank")
         try:
             return self.make_object(rank)
         except ConstraintViolation as exc:

@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Everything here is built on :class:`fractions.Fraction`, so results are
-exact; no floating point is used anywhere.  Matrices are immutable and
+Matrix entries are :class:`fractions.Fraction` values, so results are
+exact; no floating point is used anywhere.  Products and row reductions
+clear each row or column to integer numerators over one denominator,
+compute on Python ints and build one Fraction per output entry, so no
+scalar step pays for a Fraction's gcd.  Matrices are immutable and
 row-major.  Subspaces of Q^n are kept in a canonical basis (reduced
 column echelon form), which makes subspace equality a plain ``==``.
 
@@ -14,11 +17,23 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
 # the only string forms written for a rational: "-3", "3/4", ...
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+# the largest dimension a JSON input may declare: a decompose at this
+# size takes about a second, and its time and memory grow as the square
+MAX_DIM = 512
+
+
+def check_declared_dim(n, what: str) -> None:
+    """Raise ValueError when ``n`` is an integer above :data:`MAX_DIM`."""
+    if isinstance(n, int) and n > MAX_DIM:
+        raise ValueError(f"{what} {n} is above the limit of {MAX_DIM}")
 
 
 def frac(x) -> Fraction:
@@ -138,14 +153,13 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        n, k, m = self.rows, self.cols, other.cols
+        cols = [_over_lcm(other.column(j)) for j in range(other.cols)]
         out = []
-        for i in range(n):
-            ri = self.row(i)
-            for j in range(m):
-                # sum over an empty index range is the exact zero
-                out.append(sum((ri[t] * other._data[t * m + j] for t in range(k)), Fraction(0)))
-        return RatMatrix(n, m, out)
+        for i in range(self.rows):
+            a, da = _over_lcm(self.row(i))
+            # an empty dot product is the int 0, so inner dimension 0 gives exact zeros
+            out.extend(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols)
+        return RatMatrix(self.rows, other.cols, out)
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(self.cols, self.rows,
@@ -199,10 +213,31 @@ def vstack(*mats: RatMatrix) -> RatMatrix:
     return RatMatrix(sum(m.rows for m in mats), cols, data)
 
 
+def _over_lcm(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integer numerators of ``v`` over the lcm of its denominators, and that lcm."""
+    d = 1
+    # pairwise, not lcm(*gen): the argument tuples raise peak memory
+    for x in v:
+        if x.denominator != 1:
+            d = lcm(d, x.denominator)
+    if d == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
 def _rref_pivots(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    """Reduced row echelon form together with its pivot columns."""
-    rows = [list(m.row(i)) for i in range(m.rows)]
+    """Reduced row echelon form together with its pivot columns.
+
+    The elimination runs on integer rows: row i becomes p*row_i - f*row_r
+    and is then divided by the gcd of its entries.  Each stored row stays
+    a non-zero multiple of the row the rational elimination would hold,
+    so the pivots are the same and one division per entry at the end
+    gives the (unique) rref.
+    """
     nrows, ncols = m.rows, m.cols
+    if nrows == 0 or ncols == 0:
+        return m, ()
+    rows = [_over_lcm(m.row(i))[0] for i in range(nrows)]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -210,22 +245,35 @@ def _rref_pivots(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
             break
         pivot_row = None
         for i in range(r, nrows):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
+        pr = rows[r]
+        p = pr[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(rows[i], pr)]
+                g = 0
+                for x in row:
+                    # pairwise, like _over_lcm; stop once the content is 1
+                    if x:
+                        g = gcd(g, x)
+                        if g == 1:
+                            break
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    return RatMatrix(nrows, ncols, (x for row in rows for x in row)), tuple(pivots)
+    zero = Fraction(0)
+    data = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        data.extend(Fraction(x, p) if x else zero for x in row)
+    data.extend((zero,) * (ncols * (nrows - r)))
+    return RatMatrix(nrows, ncols, data), tuple(pivots)
 
 
 def rref(m: RatMatrix) -> RatMatrix:
@@ -250,22 +298,26 @@ def column_echelon_basis(m: RatMatrix) -> RatMatrix:
     matrices have equal column space iff this function agrees on them.
     """
     r, pivots = _rref_pivots(m.transpose())
-    cols = [list(r.row(i)) for i in range(len(pivots))]
-    return RatMatrix.from_columns(cols, rows=m.rows)
+    n, k, d = m.rows, len(pivots), r._data
+    # row i of the result is column i of the k pivot rows
+    return RatMatrix(n, k, [x for i in range(n) for x in d[i : k * n : n]])
 
 
 def _kernel_columns(m: RatMatrix) -> RatMatrix:
     """A basis of the solution space of m x = 0, one column per free variable."""
     r, pivots = _rref_pivots(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    cols = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r.entry(i, f)
-        cols.append(v)
-    return RatMatrix.from_columns(cols, rows=m.cols)
+    n, d = m.cols, r._data
+    pivot_row = dict(zip(pivots, range(len(pivots))))
+    free = [c for c in range(n) if c not in pivot_row]
+    one, zero = Fraction(1), Fraction(0)
+    data = []
+    for c in range(n):
+        i = pivot_row.get(c)
+        if i is None:
+            data.extend(one if f == c else zero for f in free)
+        else:
+            data.extend(-d[i * n + f] for f in free)
+    return RatMatrix(n, len(free), data)
 
 
 def kernel_basis(m: RatMatrix) -> "Subspace":
@@ -289,11 +341,14 @@ def solve_right(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     aug, pivots = _rref_pivots(hstack(a, b))
     if any(p >= a.cols for p in pivots):
         return None  # a pivot in the b block means the system is inconsistent
-    out = [[Fraction(0)] * b.cols for _ in range(a.cols)]
-    for i, p in enumerate(pivots):
-        for j in range(b.cols):
-            out[p][j] = aug.entry(i, a.cols + j)
-    return RatMatrix.from_rows(out, cols=b.cols)
+    n, d = a.cols + b.cols, aug._data
+    pivot_row = dict(zip(pivots, range(len(pivots))))
+    zeros = (Fraction(0),) * b.cols
+    data = []
+    for c in range(a.cols):
+        i = pivot_row.get(c)
+        data.extend(zeros if i is None else d[i * n + a.cols : (i + 1) * n])
+    return RatMatrix(a.cols, b.cols, data)
 
 
 def invert(m: RatMatrix) -> RatMatrix | None:
@@ -423,6 +478,8 @@ def matrix_from_json(obj: dict) -> RatMatrix:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if any(not isinstance(n, int) or isinstance(n, bool) for n in (rows, cols)):
         raise ValueError("matrix rows/cols must be integers")
+    check_declared_dim(rows, "matrix rows")
+    check_declared_dim(cols, "matrix cols")
     if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
         raise ValueError("matrix entries must be a list of row lists")
     if len(entries) != rows or any(len(r) != cols for r in entries):

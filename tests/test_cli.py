@@ -292,8 +292,15 @@ class TestDecomposeCommand:
         json.dumps({**LATZ_DOUBLING, "matrix": {"rows": 1, "cols": 1,
                                                 "entries": {"2": ["2"]}}}),
         pytest.param("[" * 100000 + "]" * 100000, id="deeply-nested"),
+        # declared dimensions above linalg.MAX_DIM: decompose time grows as n^2
+        pytest.param(json.dumps({"backend": "vectq", "dom": {"dim": 3000}, "cod": {"dim": 0},
+                                 "matrix": {"rows": 0, "cols": 3000, "entries": []}}),
+                     id="vectq-dim-3000"),
+        pytest.param(json.dumps({"backend": "latz", "dom": {"rank": 600}, "cod": {"rank": 0},
+                                 "matrix": {"rows": 0, "cols": 600, "entries": []}}),
+                     id="latz-rank-600"),
     ])
-    def test_malformed_morphism_exits_one(self, monkeypatch, capsys, text):
+    def test_malformed_morphism_exits_one(self, monkeypatch, capsys, text, ten_second_alarm):
         code, _, err = run_main(["decompose"], stdin_text=text,
                                 monkeypatch=monkeypatch, capsys=capsys)
         assert code == 1 and err.startswith("preab decompose:")

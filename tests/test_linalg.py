@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from preab.lattice import IntLattice, column_hnf
 from preab.linalg import (
+    MAX_DIM,
     RatMatrix,
     Subspace,
     column_echelon_basis,
@@ -177,6 +178,26 @@ def _random_matrix(rng: random.Random, rows: int, cols: int, span: int = 3) -> R
                      (Fraction(rng.randint(-span, span)) for _ in range(rows * cols)))
 
 
+def _random_rational_matrix(rng: random.Random, rows: int, cols: int) -> RatMatrix:
+    """Entries with mixed denominators, a quarter of them zero."""
+    return RatMatrix(rows, cols, (
+        Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 7, 12)))
+        if rng.random() < 0.75 else Fraction(0) for _ in range(rows * cols)))
+
+
+def _rational_draws(rng: random.Random, count: int):
+    """Seeded shapes up to 8 x 16, led by the 0-row and 0-column ones."""
+    for shape in ((0, 0), (0, 5), (5, 0)):
+        yield _random_rational_matrix(rng, *shape)
+    for _ in range(count):
+        yield _random_rational_matrix(rng, rng.randint(1, 8), rng.randint(1, 16))
+
+
+def _all_fractions(m: RatMatrix) -> bool:
+    # matrix_to_json writes str(entry), so a result must hold Fractions, not ints
+    return all(type(x) is Fraction for x in m._data)
+
+
 def _to_sympy(m: RatMatrix):
     return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m.entry(i, j)))
 
@@ -205,6 +226,14 @@ def test_rref_and_rank_match_sympy():
         m = _random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5))
         sy_rref, sy_pivots = _to_sympy(m).rref()
         assert rref(m) == _from_sympy(sy_rref)
+        assert rank(m) == len(sy_pivots)
+    for m in _rational_draws(rng, 40):
+        # low rank too, so that rows cancel to zero mid-elimination
+        if m.rows > 1 and rng.random() < 0.3:
+            m = _random_rational_matrix(rng, m.rows, 1) @ _random_rational_matrix(rng, 1, m.cols)
+        sy_rref, sy_pivots = _to_sympy(m).rref()
+        ours = rref(m)
+        assert ours == _from_sympy(sy_rref) and _all_fractions(ours)
         assert rank(m) == len(sy_pivots)
 
 
@@ -238,6 +267,15 @@ def test_invert_matches_sympy():
         else:
             assert invert(m) == _from_sympy(sy.inv())
     assert 0 < singular < 80
+    for _ in range(30):
+        n = rng.randint(0, 8)
+        m = _random_rational_matrix(rng, n, n)
+        sy = _to_sympy(m)
+        inv = invert(m)
+        if sy.det() == 0:
+            assert inv is None
+        else:
+            assert inv == _from_sympy(sy.inv()) and _all_fractions(inv)
 
 
 def test_rank_nullity():
@@ -326,14 +364,45 @@ def test_canonicalization_is_idempotent(m):
     assert image_basis(m) == image_basis(b)
 
 
-@given(matrices(max_dim=3), matrices(max_dim=3))
-@settings(max_examples=40, deadline=None)
-def test_matmul_matches_sympy(a, b):
-    if a.cols != b.rows:
-        a = a.transpose()
-    if a.cols != b.rows:
-        return
-    assert a @ b == _from_sympy(_to_sympy(a) @ _to_sympy(b))
+def test_matmul_matches_sympy():
+    rng = random.Random("matmul against sympy")
+    for _ in range(40):
+        a = _random_matrix(rng, rng.randint(0, 3), rng.randint(0, 3))
+        b = _random_matrix(rng, a.cols, rng.randint(0, 3))
+        assert a @ b == _from_sympy(_to_sympy(a) @ _to_sympy(b))
+    shapes = [(0, 3, 4), (4, 3, 0), (3, 0, 4), (0, 0, 0), (2, 0, 0)]  # (n, k, m)
+    shapes += [(rng.randint(1, 8), rng.randint(1, 16), rng.randint(1, 8)) for _ in range(40)]
+    for n, k, m in shapes:
+        a, b = _random_rational_matrix(rng, n, k), _random_rational_matrix(rng, k, m)
+        ours = a @ b
+        assert ours == _from_sympy(_to_sympy(a) @ _to_sympy(b)) and _all_fractions(ours)
+    assert RatMatrix.zeros(2, 0) @ RatMatrix.zeros(0, 3) == RatMatrix.zeros(2, 3)
+
+
+def test_products_and_eliminations_do_no_fraction_arithmetic(monkeypatch):
+    """rref, rank, solve_right and @ compute on integer numerators and only
+    construct Fractions; a Fraction operator call means a scalar loop is back."""
+    rng = random.Random("no fraction arithmetic")
+    mats = list(_rational_draws(rng, 20))
+    pairs = [(a, _random_rational_matrix(rng, a.cols, rng.randint(0, 4))) for a in mats]
+    systems = [(a, a @ x) for a, x in pairs]
+    calls = []
+    for name in ("add", "sub", "mul", "truediv"):
+        for dunder in (f"__{name}__", f"__r{name}__"):
+            real = getattr(Fraction, dunder)
+            monkeypatch.setattr(Fraction, dunder,
+                                lambda *args, _real=real, _name=dunder:
+                                calls.append(_name) or _real(*args))
+    for m in mats:
+        rref(m)
+        rank(m)
+    for a, x in pairs:
+        a @ x
+    for a, b in systems:
+        assert solve_right(a, b) is not None
+    assert calls == []
+    Fraction(1) + Fraction(2)  # the counters are live
+    assert calls == ["__add__"]
 
 
 # ------------------------------------------------------------ round trips
@@ -381,3 +450,8 @@ def test_matrix_json_rejects_garbage():
         matrix_from_json({"rows": 1, "cols": 1, "entries": "1"})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 1, "cols": 1, "entries": {"1": ["1"]}})
+    # a declared dimension above MAX_DIM, even with no entries to read
+    for rows, cols in ((0, MAX_DIM + 1), (MAX_DIM + 1, 0), (0, 10**9)):
+        with pytest.raises(ValueError):
+            matrix_from_json({"rows": rows, "cols": cols, "entries": [[]] * rows})
+    assert matrix_from_json({"rows": 0, "cols": MAX_DIM, "entries": []}).shape == (0, MAX_DIM)
