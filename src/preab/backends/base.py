@@ -15,30 +15,19 @@ from ..linalg import RatMatrix, hstack, invert, solve_right
 
 
 class MatrixBackend(Category):
-    """Category base class with RatMatrix morphism payloads."""
+    """Category base class with RatMatrix morphism payloads.
 
-    # -- hooks for subclasses ---------------------------------------------
-    def ambient_dim(self, payload) -> int:
-        raise NotImplementedError
-
-    def check_payload_constraints(self, dom_payload, cod_payload, m: RatMatrix) -> None:
-        """Raise ConstraintViolation when ``m`` does not respect structure."""
-        raise NotImplementedError
-
-    def direct_sum_payload(self, a_payload, b_payload):
-        raise NotImplementedError
-
-    def drop_coordinate(self, payload, j: int):
-        """Payload with ambient coordinate ``j`` projected away (for shrinking)."""
-        raise NotImplementedError
-
-    def kernel_data(self, f: Morphism) -> tuple[object, RatMatrix]:
-        """Apex payload and leg matrix (apex -> dom f) of the kernel."""
-        raise NotImplementedError
-
-    def cokernel_data(self, f: Morphism) -> tuple[object, RatMatrix]:
-        """Apex payload and leg matrix (cod f -> apex) of the cokernel."""
-        raise NotImplementedError
+    Besides ``make_object``, ``zero_object``, generation and JSON (see
+    :class:`~preab.core.Category`), a subclass defines six hooks:
+    ``ambient_dim(payload)``; ``check_payload_constraints(dom_payload,
+    cod_payload, m)``, which raises ConstraintViolation when ``m`` breaks
+    the structure; ``direct_sum_payload(a_payload, b_payload)``, the
+    biproduct's payload; ``drop_coordinate(payload, j)``, the payload with
+    ambient coordinate ``j`` projected away (for shrinking); and
+    ``kernel_data(f)`` and ``cokernel_data(f)``, each returning the apex
+    payload and the leg matrix (apex -> dom f for a kernel, cod f -> apex
+    for a cokernel).
+    """
 
     # -- generic implementations ------------------------------------------
     def is_zero_object(self, a: CatObject) -> bool:

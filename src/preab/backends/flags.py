@@ -206,10 +206,7 @@ class FlagBackend(MatrixBackend):
                 layers = tuple(Subspace.span(dim, matrix_from_json(m)) for m in obj["flag"])
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed {self.name} object: {exc}") from exc
-        try:
-            return self.make_object((dim, layers))
-        except ConstraintViolation as exc:
-            raise ValueError(str(exc)) from exc
+        return self.make_object((dim, layers))
 
     def morphism_to_json(self, f: Morphism) -> dict:
         return {
@@ -226,10 +223,7 @@ class FlagBackend(MatrixBackend):
             matrix = matrix_from_json(obj["matrix"])
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed {self.name} morphism: {exc}") from exc
-        try:
-            return self.make_morphism(dom, cod, matrix)
-        except ConstraintViolation as exc:
-            raise ValueError(str(exc)) from exc
+        return self.make_morphism(dom, cod, matrix)
 
 
 def vert_shift(basis: RatMatrix, above: int, below: int) -> RatMatrix:

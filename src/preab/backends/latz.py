@@ -51,8 +51,9 @@ class LatZBackend(MatrixBackend):
             raise ConstraintViolation("matrix must have integer entries")
 
     def kernel_data(self, f: Morphism):
-        lat = IntLattice(f.dom.payload, integer_kernel(f.payload))
-        return lat.rank, lat.basis
+        # integer_kernel's basis is already in column Hermite form
+        basis = integer_kernel(f.payload)
+        return basis.cols, basis
 
     def cokernel_data(self, f: Morphism):
         m = f.cod.payload
@@ -95,10 +96,7 @@ class LatZBackend(MatrixBackend):
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed latz object: {exc}") from exc
         check_declared_dim(rank, "latz rank")
-        try:
-            return self.make_object(rank)
-        except ConstraintViolation as exc:
-            raise ValueError(str(exc)) from exc
+        return self.make_object(rank)
 
     def morphism_to_json(self, f: Morphism) -> dict:
         return {
@@ -115,7 +113,4 @@ class LatZBackend(MatrixBackend):
             matrix = matrix_from_json(obj["matrix"])
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed latz morphism: {exc}") from exc
-        try:
-            return self.make_morphism(dom, cod, matrix)
-        except ConstraintViolation as exc:
-            raise ValueError(str(exc)) from exc
+        return self.make_morphism(dom, cod, matrix)

@@ -23,7 +23,7 @@ import sys
 from .audit import AuditConfig, run_audit
 from .backends import get_backend
 from .conditions import CHECKS, instance_from_json, run_check
-from .core import ConstraintViolation, classify, decompose
+from .core import classify, decompose
 from .report import ReportDocument, emit_report
 
 
@@ -63,7 +63,7 @@ def cmd_audit(args) -> int:
         cfg = AuditConfig.from_json(blob)
         report = run_audit(cfg)
         _emit(ReportDocument.from_audit(report).emit(), args.out)
-    except (ValueError, ConstraintViolation, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"preab audit: {e}", file=sys.stderr)
         return 1
     if report.witnesses:
@@ -84,7 +84,7 @@ def cmd_check(args) -> int:
             raise ValueError(f"instance backend {instance.category.name!r} "
                              f"does not match --backend {args.backend!r}")
         result = run_check(args.name, instance)
-    except (ValueError, ConstraintViolation) as e:
+    except ValueError as e:
         print(f"preab check: {e}", file=sys.stderr)
         return 1
     sys.stdout.write(_canonical(result.to_json()))
@@ -106,7 +106,7 @@ def cmd_decompose(args) -> int:
         f = cat.morphism_from_json(blob)
         d = decompose(f)
         flags = classify(f)
-    except (ValueError, ConstraintViolation) as e:
+    except ValueError as e:
         print(f"preab decompose: {e}", file=sys.stderr)
         return 1
     sys.stdout.write(_canonical({

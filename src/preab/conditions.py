@@ -248,14 +248,10 @@ def instance_from_json(blob: dict) -> Instance:
         if provenance == "pushout":
             left = cat.morphism_from_json(_require(blob, "left"))
             top = cat.morphism_from_json(_require(blob, "top"))
-            if left.dom != top.dom:
-                raise ValueError("pushout generators must share a domain")
             return SquareInstance(pushout(left, top))
         if provenance == "pullback":
             bottom = cat.morphism_from_json(_require(blob, "bottom"))
             right = cat.morphism_from_json(_require(blob, "right"))
-            if bottom.cod != right.cod:
-                raise ValueError("pullback generators must share a codomain")
             return SquareInstance(pullback(bottom, right))
         if provenance == "commutative":
             edges = {e: cat.morphism_from_json(_require(blob, e))

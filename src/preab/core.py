@@ -198,69 +198,26 @@ class Square:
 
 
 class Category:
-    """Interface a concrete backend must implement.
+    """What a concrete backend provides.
 
     Backends are stateless singletons; object and morphism values carry
-    a reference to their category, and mixing categories raises.
+    a reference to their category, and mixing categories raises.  Each
+    backend, and :class:`Opposite`, defines ``zero_object``,
+    ``is_zero_object``, ``identity``, ``zero_morphism``,
+    ``is_zero_morphism``, ``compose(g, f)`` (``g @ f``), ``add``,
+    ``negate``, ``biproduct`` (a :class:`Biproduct`), ``kernel`` and
+    ``cokernel`` (each a :class:`Cone`), ``is_iso``, the generators
+    ``random_object(rng, dim_bound)``, ``random_morphism(rng, a, b)`` and
+    ``random_iso(rng, a)``, and the JSON pairs ``object_to_json`` /
+    ``object_from_json`` and ``morphism_to_json`` / ``morphism_from_json``.
+    ``make_object`` and ``make_morphism`` raise :class:`ConstraintViolation`
+    on data that breaks the structure.  ``divide_left(g, h)`` returns some
+    x with g @ x == h, or None, and x is unique when g is mono;
+    ``divide_right(g, h)`` returns some x with x @ g == h, or None, and x
+    is unique when g is epi.
     """
 
     name: str = "?"
-
-    # -- objects ---------------------------------------------------------
-    def zero_object(self) -> CatObject:
-        raise NotImplementedError
-
-    def is_zero_object(self, a: CatObject) -> bool:
-        raise NotImplementedError
-
-    # -- structural morphisms -------------------------------------------
-    def identity(self, a: CatObject) -> Morphism:
-        raise NotImplementedError
-
-    def zero_morphism(self, a: CatObject, b: CatObject) -> Morphism:
-        raise NotImplementedError
-
-    def is_zero_morphism(self, f: Morphism) -> bool:
-        raise NotImplementedError
-
-    # -- additive structure ----------------------------------------------
-    def compose(self, g: Morphism, f: Morphism) -> Morphism:
-        raise NotImplementedError
-
-    def add(self, f: Morphism, g: Morphism) -> Morphism:
-        raise NotImplementedError
-
-    def negate(self, f: Morphism) -> Morphism:
-        raise NotImplementedError
-
-    def biproduct(self, a: CatObject, b: CatObject) -> Biproduct:
-        raise NotImplementedError
-
-    # -- limits -----------------------------------------------------------
-    def kernel(self, f: Morphism) -> Cone:
-        raise NotImplementedError
-
-    def cokernel(self, f: Morphism) -> Cone:
-        raise NotImplementedError
-
-    # -- division ----------------------------------------------------------
-    def divide_left(self, g: Morphism, h: Morphism) -> Optional[Morphism]:
-        """Some x with g @ x == h, or None.  Unique when g is mono."""
-        raise NotImplementedError
-
-    def divide_right(self, g: Morphism, h: Morphism) -> Optional[Morphism]:
-        """Some x with x @ g == h, or None.  Unique when g is epi."""
-        raise NotImplementedError
-
-    def is_iso(self, f: Morphism) -> bool:
-        raise NotImplementedError
-
-    # -- construction and generation --------------------------------------
-    def make_object(self, payload) -> CatObject:
-        raise NotImplementedError
-
-    def make_morphism(self, dom: CatObject, cod: CatObject, payload) -> Morphism:
-        raise NotImplementedError
 
     def try_morphism(self, dom: CatObject, cod: CatObject, payload) -> Optional[Morphism]:
         try:
@@ -268,29 +225,6 @@ class Category:
         except ConstraintViolation:
             return None
 
-    def random_object(self, rng, dim_bound: int) -> CatObject:
-        raise NotImplementedError
-
-    def random_morphism(self, rng, a: CatObject, b: CatObject) -> Morphism:
-        raise NotImplementedError
-
-    def random_iso(self, rng, a: CatObject) -> Morphism:
-        raise NotImplementedError
-
-    # -- serialization -----------------------------------------------------
-    def object_to_json(self, a: CatObject) -> dict:
-        raise NotImplementedError
-
-    def object_from_json(self, obj: dict) -> CatObject:
-        raise NotImplementedError
-
-    def morphism_to_json(self, f: Morphism) -> dict:
-        raise NotImplementedError
-
-    def morphism_from_json(self, obj: dict) -> Morphism:
-        raise NotImplementedError
-
-    # -- duality ------------------------------------------------------------
     _op_cache: Optional["Category"] = None
 
     def opposite(self) -> "Category":
@@ -484,10 +418,13 @@ def decompose(f: Morphism) -> Decomposition:
 def classify(f: Morphism) -> MorphismClass:
     """Mono/epi/iso/strict flags plus the derived kernel/cokernel tests.
 
-    Mono, epi and strict are all read off one decomposition of f.  A
-    morphism is a kernel iff it is mono and strict, and a cokernel iff
-    it is epi and strict, so no search over candidate morphisms is
-    needed.
+    Mono, epi and strict are read off one decomposition of f, and the
+    other four flags follow from them.  A morphism is a kernel iff it is
+    mono and strict, and a cokernel iff it is epi and strict, so no
+    search over candidate morphisms is needed.  It is an iso iff it is
+    mono, epi and strict: when f is mono its coimage leg is an iso, when
+    f is epi its image leg is, and then f = im @ fbar @ coim is an iso
+    exactly when fbar is.
     """
     c = f.category
     d = decompose(f)
@@ -498,7 +435,7 @@ def classify(f: Morphism) -> MorphismClass:
         mono=mono,
         epi=epi,
         bimorphism=mono and epi,
-        iso=c.is_iso(f),
+        iso=mono and epi and strict,
         strict=strict,
         is_kernel=mono and strict,
         is_cokernel=epi and strict,

@@ -25,8 +25,10 @@ from typing import Iterable, Sequence
 # the only string forms written for a rational: "-3", "3/4", ...
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
-# the largest dimension a JSON input may declare: a decompose at this
-# size takes about a second, and its time and memory grow as the square
+# the largest dimension a JSON input may declare.  It bounds the shapes
+# an input can declare, not the time: a dense input far below it can
+# still run for minutes (a dense 80x160 vectq decompose takes 3.4 s, and
+# a dense 40x80 latz one did not finish within 100 s)
 MAX_DIM = 512
 
 

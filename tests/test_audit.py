@@ -14,6 +14,7 @@ from preab import BACKENDS
 from preab.audit import (
     CONDITION_NAMES,
     GENERATION_RETRIES,
+    MAX_DIM_BOUND,
     WITNESS_CAP,
     AuditConfig,
     AuditReport,
@@ -79,6 +80,7 @@ class TestAuditConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(dim_bound=0),
         dict(dim_bound="3"),
+        dict(dim_bound=MAX_DIM_BOUND + 1),
         dict(min_nonvacuous=-1),
         dict(shrink_budget=True),
         dict(probe_steps=-2),
@@ -90,6 +92,9 @@ class TestAuditConfig:
     def test_bad_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AuditConfig(backend="vectq", **kwargs)
+
+    def test_dim_bound_cap_accepted(self):
+        assert AuditConfig(backend="latz", dim_bound=MAX_DIM_BOUND).dim_bound == MAX_DIM_BOUND
 
     def test_json_round_trip(self):
         cfg = small_config("subvect")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from preab.audit import AuditConfig, run_audit
+from preab.audit import MAX_DIM_BOUND, AuditConfig, run_audit
 from preab.cli import main
 from preab.report import SCHEMA_VERSION, ReportDocument, emit_report, parse_report
 
@@ -170,6 +170,7 @@ class TestAuditCommand:
         {"backend": "vectq", "bogus": 1},
         {"seed": "no-backend"},
         {"backend": "vectq", "dim_bound": 0},
+        {"backend": "vectq", "dim_bound": MAX_DIM_BOUND + 1},
         {"backend": ["vectq"]},
         {"backend": {"a": 1}},
     ])

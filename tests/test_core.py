@@ -26,6 +26,7 @@ from preab import (
     subobject_iso,
 )
 from preab.backends import FILTVECT3, LATZ, SUBVECT, VECTQ
+from preab.backends.base import MatrixBackend
 from preab.core import (
     Square,
     induced_cokernel_map,
@@ -267,6 +268,50 @@ def test_random_iso_classifies_iso(name):
         f = cat.random_iso(rng, a)
         c = classify(f)
         assert c.iso and c.strict and c.is_kernel and c.is_cokernel
+
+
+def _side(name, side):
+    cat = BACKENDS[name]
+    return cat.opposite() if side == "op" else cat
+
+
+@pytest.mark.parametrize("side", ["base", "op"])
+@pytest.mark.parametrize("name", ALL)
+def test_classify_iso_matches_is_iso(name, side):
+    # classify derives iso as mono, epi and strict; is_iso inverts f itself
+    cat = _side(name, side)
+    rng = random.Random(f"derived iso:{name}:{side}")
+    seen = set()
+    for _ in range(40):
+        if rng.random() < 0.3:
+            f = cat.random_iso(rng, cat.random_object(rng, 3))
+        else:
+            f = rand_pair(cat, rng)
+        iso = cat.is_iso(f)
+        assert classify(f).iso == iso
+        seen.add(iso)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("side", ["base", "op"])
+@pytest.mark.parametrize("name", ALL)
+def test_classify_tests_one_iso(name, side, monkeypatch):
+    # the only inversion classify needs is that of fbar
+    calls = []
+    real = MatrixBackend.is_iso
+
+    def counting(self, f):
+        calls.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(MatrixBackend, "is_iso", counting)
+    cat = _side(name, side)
+    rng = random.Random(f"one iso test:{name}:{side}")
+    for _ in range(10):
+        f = rand_pair(cat, rng)
+        calls.clear()
+        classify(f)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,26 @@ def test_integer_kernel_matches_sympy():
         assert all(x == 1 for x in elementary_divisors(k))
 
 
+def test_integer_kernel_basis_is_its_own_hnf():
+    # LatZBackend.kernel_data hands this basis on as canonical, unreduced
+    rng = random.Random(137)
+    deficient = 0
+    for i in range(300):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 6)
+        if i % 2:
+            inner = rng.randint(0, min(rows, cols))
+            m = _random_int_matrix(rng, rows, inner) @ _random_int_matrix(rng, inner, cols)
+        else:
+            m = _random_int_matrix(rng, rows, cols)
+        deficient += rank(m) < min(rows, cols)
+        k = integer_kernel(m)
+        assert column_hnf(k) == k
+    assert deficient > 50
+    for rows, cols in ((0, 0), (0, 4), (3, 0)):
+        k = integer_kernel(RatMatrix.zeros(rows, cols))
+        assert column_hnf(k) == k and k.shape == (cols, cols)
+
+
 def test_saturate_wide_index_sublattice_returns(ten_second_alarm):
     # rank 3 in Z^8 with large coefficients, reached by a latz pullback;
     # Smith elimination on this basis grows its entries about sixfold per
