@@ -27,6 +27,17 @@ class MatrixBackend(Category):
     ``kernel_data(f)`` and ``cokernel_data(f)``, each returning the apex
     payload and the leg matrix (apex -> dom f for a kernel, cod f -> apex
     for a cokernel).
+
+    Zero morphisms and identities are answered from the universal
+    property, with no elimination and no hook call: the kernel of
+    ``0: A -> B`` is ``id_A`` and its cokernel ``id_B``; the kernel of
+    ``id_A`` is ``0 -> A`` from the zero object and its cokernel
+    ``A -> 0``; dividing by an identity returns the dividend; and an
+    identity is an iso.  An identity is a morphism with ``dom == cod``
+    and the identity matrix; the identity matrix between two different
+    objects (such as the bimorphism (V, 0) -> (V, V) of a flag
+    category) takes the general path.  The results equal the general
+    construction's.
     """
 
     # -- generic implementations ------------------------------------------
@@ -71,13 +82,26 @@ class MatrixBackend(Category):
             proj2=Morphism(self, ob, b, bot),
         )
 
+    def _is_identity(self, f: Morphism) -> bool:
+        return f.payload.is_identity() and f.dom == f.cod
+
     def kernel(self, f: Morphism) -> Cone:
+        if f.payload.is_zero():
+            return Cone(kind="kernel", of=f, apex=f.dom, leg=self.identity(f.dom))
+        if self._is_identity(f):
+            zero = self.zero_object()
+            return Cone(kind="kernel", of=f, apex=zero, leg=self.zero_morphism(zero, f.dom))
         apex_payload, leg_matrix = self.kernel_data(f)
         apex = CatObject(self, apex_payload)
         leg = Morphism(self, apex, f.dom, leg_matrix)
         return Cone(kind="kernel", of=f, apex=apex, leg=leg)
 
     def cokernel(self, f: Morphism) -> Cone:
+        if f.payload.is_zero():
+            return Cone(kind="cokernel", of=f, apex=f.cod, leg=self.identity(f.cod))
+        if self._is_identity(f):
+            zero = self.zero_object()
+            return Cone(kind="cokernel", of=f, apex=zero, leg=self.zero_morphism(f.cod, zero))
         apex_payload, leg_matrix = self.cokernel_data(f)
         apex = CatObject(self, apex_payload)
         leg = Morphism(self, f.cod, apex, leg_matrix)
@@ -86,6 +110,8 @@ class MatrixBackend(Category):
     def divide_left(self, g: Morphism, h: Morphism) -> Optional[Morphism]:
         if g.cod != h.cod:
             raise ValueError("divide_left needs a common codomain")
+        if self._is_identity(g):
+            return h
         x = solve_right(g.payload, h.payload)
         if x is None:
             return None
@@ -94,12 +120,16 @@ class MatrixBackend(Category):
     def divide_right(self, g: Morphism, h: Morphism) -> Optional[Morphism]:
         if g.dom != h.dom:
             raise ValueError("divide_right needs a common domain")
+        if self._is_identity(g):
+            return h
         x = solve_right(g.payload.transpose(), h.payload.transpose())
         if x is None:
             return None
         return self.try_morphism(g.cod, h.cod, x.transpose())
 
     def is_iso(self, f: Morphism) -> bool:
+        if self._is_identity(f):
+            return True
         # invert the ambient matrix, then let the structure constraints
         # decide whether the inverse is a morphism of this category
         inv = invert(f.payload)

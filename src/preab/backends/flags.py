@@ -69,6 +69,8 @@ class FlagBackend(MatrixBackend):
     def __init__(self, name: str, n_layers: int):
         self.name = name
         self.n_layers = n_layers
+        # built once: identities' kernels and cokernels land on it
+        self._zero = CatObject(self, (0, (Subspace.zero(0),) * n_layers))
 
     # -- objects -----------------------------------------------------------
     def make_object(self, payload) -> CatObject:
@@ -93,7 +95,7 @@ class FlagBackend(MatrixBackend):
         return self.make_object((dim, tuple(layers)))
 
     def zero_object(self) -> CatObject:
-        return CatObject(self, (0, tuple(Subspace.zero(0) for _ in range(self.n_layers))))
+        return self._zero
 
     def ambient_dim(self, payload) -> int:
         return payload[0]

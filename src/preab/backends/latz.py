@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..core import CatObject, ConstraintViolation, Morphism
-from ..lattice import IntLattice, integer_kernel, pure_quotient_rows, saturate
+from ..lattice import integer_kernel, pure_quotient_rows
 from ..linalg import RatMatrix, check_declared_dim, matrix_from_json, matrix_to_json
 from .base import MatrixBackend
 
@@ -56,9 +56,10 @@ class LatZBackend(MatrixBackend):
         return basis.cols, basis
 
     def cokernel_data(self, f: Morphism):
-        m = f.cod.payload
-        image = saturate(IntLattice.span(m, f.payload))
-        q = pure_quotient_rows(image)
+        # the kernel of the annihilator of the image is the image's
+        # saturation, already in column Hermite form
+        annihilator = integer_kernel(f.payload.transpose())
+        q = pure_quotient_rows(integer_kernel(annihilator.transpose()))
         return q.rows, q
 
     # -- generation ------------------------------------------------------------

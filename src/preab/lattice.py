@@ -253,16 +253,18 @@ def saturate(l: IntLattice) -> IntLattice:
     return IntLattice(l.ambient_dim, integer_kernel(annihilator.transpose()))
 
 
-def pure_quotient_rows(l: IntLattice) -> RatMatrix:
-    """Projection matrix q: Z^n -> Z^(n-rank) with kernel exactly ``l``.
+def pure_quotient_rows(basis: RatMatrix) -> RatMatrix:
+    """Projection matrix q: Z^n -> Z^(n-rank) whose kernel is the span of ``basis``.
 
-    Requires ``l`` saturated, so the quotient is free and q can be taken
-    surjective; q consists of rows of a unimodular matrix.
+    ``basis`` is the column-HNF basis of a saturated lattice in Z^n (as
+    ``saturate(l).basis`` or ``integer_kernel`` returns it), so the
+    quotient is free and q can be taken surjective; q consists of rows
+    of a unimodular matrix.
     """
-    n = l.ambient_dim
-    if l.rank == 0:
+    n = basis.rows
+    if basis.cols == 0:
         return RatMatrix.identity(n)
-    u, d, _ = smith_with_transforms(l.basis)
+    u, d, _ = smith_with_transforms(basis)
     divisors = [d.entry(i, i) for i in range(min(d.rows, d.cols)) if d.entry(i, i) != 0]
     if any(x != 1 for x in divisors):
         raise ValueError("lattice is not saturated; saturate it first")

@@ -126,6 +126,11 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self._data)
 
+    def is_identity(self) -> bool:
+        n = self.rows
+        return self.cols == n and all(
+            x == (1 if k % (n + 1) == 0 else 0) for k, x in enumerate(self._data))
+
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for x in self._data)
 

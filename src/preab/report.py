@@ -63,10 +63,13 @@ def parse_report(text: str) -> dict:
     if not isinstance(blob, dict):
         raise ValueError("report must be a JSON object")
     version = blob.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # True and 1.0 equal 1, but emit would write them back as they are
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema version: {version!r} "
                          f"(this tool reads version {SCHEMA_VERSION})")
     for key in ("tool", "config", "report"):
         if key not in blob:
             raise ValueError(f"report is missing key {key!r}")
+        if not isinstance(blob[key], dict):
+            raise ValueError(f"report key {key!r} must be a JSON object")
     return blob

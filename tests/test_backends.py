@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from preab import BACKENDS, ConstraintViolation, classify, get_backend, linalg
+from preab import BACKENDS, ConstraintViolation, classify, get_backend, lattice, linalg
 from preab.backends import FILTVECT3, LATZ, SUBVECT, VECTQ
 from preab.backends.flags import _adapted_columns
 from preab.linalg import RatMatrix, Subspace, invert, preimage, pushforward, solve_right
@@ -147,6 +147,24 @@ def test_subspace_questions_take_one_elimination_each(monkeypatch):
         calls.clear()
         _adapted_columns(n, xs)
         assert len(calls) == 1
+
+
+def test_latz_cokernel_takes_two_hermite_forms(monkeypatch):
+    """The saturation of the image is the integer kernel of its
+    annihilator, already in column Hermite form, so one cokernel needs
+    two HNFs; the leg equals the quotient of saturate's lattice."""
+    calls = []
+    real = lattice.column_hnf
+    monkeypatch.setattr(lattice, "column_hnf", lambda m: calls.append(m) or real(m))
+    rng = random.Random("latz cokernel hnfs")
+    for _ in range(200):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        f = LATZ.random_morphism(rng, LATZ.obj(n), LATZ.obj(m))
+        calls.clear()
+        rank, q = LATZ.cokernel_data(f)
+        assert len(calls) == 2
+        image = lattice.saturate(lattice.IntLattice.span(m, f.payload))
+        assert q == lattice.pure_quotient_rows(image.basis) and rank == q.rows
 
 
 def test_latz_integrality_enforced():

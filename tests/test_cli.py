@@ -92,10 +92,19 @@ class TestReportDocument:
         json.dumps({"schema_version": 2, "tool": {}, "config": {}, "report": {}}),
         json.dumps({"schema_version": 1, "tool": {}, "config": {}}),
         json.dumps({"tool": {}, "config": {}, "report": {}}),
+        json.dumps({"schema_version": True, "tool": {}, "config": {}, "report": {}}),
+        json.dumps({"schema_version": 1.0, "tool": {}, "config": {}, "report": {}}),
+        json.dumps({"schema_version": "1", "tool": {}, "config": {}, "report": {}}),
+        json.dumps({"schema_version": 1, "tool": [], "config": {}, "report": {}}),
+        json.dumps({"schema_version": 1, "tool": "preab", "config": {}, "report": {}}),
+        json.dumps({"schema_version": 1, "tool": {}, "config": None, "report": {}}),
+        json.dumps({"schema_version": 1, "tool": {}, "config": {}, "report": [1]}),
     ])
     def test_parse_refuses_bad_documents(self, text):
         with pytest.raises(ValueError):
             parse_report(text)
+        with pytest.raises(ValueError):
+            ReportDocument.parse(text)
 
 
 # ---------------------------------------------------------------------------

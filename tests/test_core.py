@@ -19,6 +19,8 @@ from preab import (
     is_pullback,
     is_pushout,
     kernel,
+    lattice,
+    linalg,
     opposite,
     pullback,
     pushout,
@@ -27,14 +29,19 @@ from preab import (
 )
 from preab.backends import FILTVECT3, LATZ, SUBVECT, VECTQ
 from preab.backends.base import MatrixBackend
+from preab.backends.flags import FlagBackend
+from preab.backends.latz import LatZBackend
 from preab.core import (
+    CatObject,
+    Morphism,
+    Opposite,
     Square,
     induced_cokernel_map,
     induced_kernel_map,
     pullback_mediator,
     pushout_mediator,
 )
-from preab.linalg import RatMatrix, Subspace
+from preab.linalg import RatMatrix, Subspace, invert, solve_right
 
 ALL = sorted(BACKENDS)
 
@@ -312,6 +319,129 @@ def test_classify_tests_one_iso(name, side, monkeypatch):
         calls.clear()
         classify(f)
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# zero morphisms and identities
+
+
+def _base_side(cat, f):
+    """The base category and base morphism behind f, and whether f is dual."""
+    if isinstance(cat, Opposite):
+        return cat.base, cat.unwrap(f), True
+    return cat, f, False
+
+
+def _general_cone(cat, kind, f):
+    """The kind cone of f built by the backend hooks, as (apex payload, base leg)."""
+    base, g, dual = _base_side(cat, f)
+    if dual:
+        kind = "cokernel" if kind == "kernel" else "kernel"
+    if kind == "kernel":
+        payload, m = base.kernel_data(g)
+        return payload, Morphism(base, CatObject(base, payload), g.dom, m)
+    payload, m = base.cokernel_data(g)
+    return payload, Morphism(base, g.cod, CatObject(base, payload), m)
+
+
+def _solve_divide(base, side, g, h):
+    if side == "left":
+        x = solve_right(g.payload, h.payload)
+        return None if x is None else base.try_morphism(h.dom, g.dom, x)
+    x = solve_right(g.payload.transpose(), h.payload.transpose())
+    return None if x is None else base.try_morphism(g.cod, h.cod, x.transpose())
+
+
+def _general_divide(cat, side, g, h):
+    base, bg, dual = _base_side(cat, g)
+    if not dual:
+        return _solve_divide(base, side, g, h)
+    u = _solve_divide(base, "right" if side == "left" else "left", bg, cat.unwrap(h))
+    return None if u is None else cat.wrap(u)
+
+
+def _general_is_iso(cat, f):
+    base, g, _ = _base_side(cat, f)
+    inv = invert(g.payload)
+    return inv is not None and base.try_morphism(g.cod, g.dom, inv) is not None
+
+
+def _assert_general(cat, f, rng):
+    """Cones, divisions and the iso test at f equal the general construction's."""
+    for kind, build in (("kernel", cat.kernel), ("cokernel", cat.cokernel)):
+        cone = build(f)
+        payload, leg = _general_cone(cat, kind, f)
+        assert cone.kind == kind and cone.of == f
+        assert cone.apex.payload == payload
+        assert _base_side(cat, cone.leg)[1] == leg
+    assert cat.is_iso(f) == _general_is_iso(cat, f)
+    into = cat.random_morphism(rng, cat.random_object(rng, 3), f.cod)
+    out_of = cat.random_morphism(rng, f.dom, cat.random_object(rng, 3))
+    for h in (into, cat.identity(f.cod)):
+        assert cat.divide_left(f, h) == _general_divide(cat, "left", f, h)
+    for h in (out_of, cat.identity(f.dom)):
+        assert cat.divide_right(f, h) == _general_divide(cat, "right", f, h)
+
+
+def _object(cat, rng):
+    return cat.zero_object() if rng.random() < 0.25 else cat.random_object(rng, 3)
+
+
+@pytest.mark.parametrize("side", ["base", "op"])
+@pytest.mark.parametrize("name", ALL)
+def test_trivial_cones_match_the_general_construction(name, side):
+    cat = _side(name, side)
+    rng = random.Random(f"trivial cones:{name}:{side}")
+    shapes = set()
+    for _ in range(25):
+        a, b = _object(cat, rng), _object(cat, rng)
+        _assert_general(cat, cat.zero_morphism(a, b), rng)
+        _assert_general(cat, cat.identity(a), rng)
+        shapes.add((cat.is_zero_object(a), cat.is_zero_object(b)))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+    base = cat.base if side == "op" else cat
+    if isinstance(base, FlagBackend) and base.n_layers:
+        # the identity matrix from (V, 0) to (V, V) is a bimorphism, not an
+        # identity, so it takes the general path and is no iso
+        v = 2
+        low = base.obj(v, [Subspace.zero(v)] * base.n_layers)
+        high = base.obj(v, [Subspace.full(v)] * base.n_layers)
+        f = base.make_morphism(low, high, RatMatrix.identity(v))
+        if side == "op":
+            f = cat.wrap(f)
+        assert not cat.is_iso(f)
+        assert cat.divide_left(f, cat.identity(f.cod)) is None
+        assert cat.divide_right(f, cat.identity(f.dom)) is None
+        _assert_general(cat, f, rng)
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args: calls.append(name) or real(*args))
+
+
+@pytest.mark.parametrize("side", ["base", "op"])
+@pytest.mark.parametrize("name", ALL)
+def test_classify_reads_off_identities_and_zero_morphisms(name, side, monkeypatch):
+    # an identity needs no elimination and no hook; a zero morphism no hook
+    calls = []
+    _count_calls(monkeypatch, linalg, "_rref_pivots", calls)
+    _count_calls(monkeypatch, lattice, "column_hnf", calls)
+    for owner in (FlagBackend, LatZBackend):
+        for hook in ("kernel_data", "cokernel_data"):
+            _count_calls(monkeypatch, owner, hook, calls)
+    cat = _side(name, side)
+    rng = random.Random(f"read off:{name}:{side}")
+    for _ in range(15):
+        a, b = _object(cat, rng), _object(cat, rng)
+        calls.clear()
+        c = classify(cat.identity(a))
+        assert calls == []
+        assert c.iso and c.strict and c.is_kernel and c.is_cokernel
+        calls.clear()
+        classify(cat.zero_morphism(a, b))
+        assert not [x for x in calls if x.endswith("_data")]
 
 
 # ---------------------------------------------------------------------------

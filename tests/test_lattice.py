@@ -94,7 +94,7 @@ def test_smith_rank_one():
 
 def test_quotient_rows_of_skew_line():
     # Z^2 / <(2,1)> is free; the projection must kill (2,1) and be onto
-    q = pure_quotient_rows(_lat(2, (2, 1)))
+    q = pure_quotient_rows(_lat(2, (2, 1)).basis)
     assert q.rows == 1 and q.cols == 2
     assert (q @ _m([[2], [1]])).is_zero()
     assert abs(q.entry(0, 0)) + abs(q.entry(0, 1)) > 0
@@ -102,15 +102,15 @@ def test_quotient_rows_of_skew_line():
 
 def test_quotient_rows_rejects_unsaturated():
     with pytest.raises(ValueError):
-        pure_quotient_rows(_lat(1, (2,)))
+        pure_quotient_rows(_lat(1, (2,)).basis)
 
 
 def test_zero_and_full_edges():
     z = IntLattice.zero(3)
     assert saturate(z) == z
-    assert pure_quotient_rows(z) == RatMatrix.identity(3)
+    assert pure_quotient_rows(z.basis) == RatMatrix.identity(3)
     f = IntLattice.full(2)
-    assert pure_quotient_rows(f).rows == 0
+    assert pure_quotient_rows(f.basis).rows == 0
     assert IntLattice.span(0, RatMatrix.zeros(0, 0)).rank == 0
 
 
@@ -251,7 +251,7 @@ def test_quotient_rows_properties():
     for _ in range(50):
         n, k = rng.randint(1, 4), rng.randint(0, 3)
         s = saturate(IntLattice.span(n, _random_int_matrix(rng, n, k)))
-        q = pure_quotient_rows(s)
+        q = pure_quotient_rows(s.basis)
         assert q.rows == n - s.rank
         if s.rank:
             assert (q @ s.basis).is_zero()
