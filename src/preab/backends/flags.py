@@ -15,8 +15,6 @@ exist everywhere, but a mono epi need not be an iso.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..core import CatObject, ConstraintViolation, Morphism
 from ..linalg import (
     RatMatrix,
@@ -38,12 +36,8 @@ from ..linalg import (
 from .base import MatrixBackend
 
 
-def _random_entry(rng) -> Fraction:
-    return Fraction(rng.randint(-3, 3))
-
-
 def _random_matrix(rng, rows: int, cols: int) -> RatMatrix:
-    return RatMatrix(rows, cols, (_random_entry(rng) for _ in range(rows * cols)))
+    return RatMatrix(rows, cols, [rng.randint(-3, 3) for _ in range(rows * cols)])
 
 
 def _adapted_columns(dim: int, layers: tuple[Subspace, ...]) -> tuple[RatMatrix, list[int]]:
@@ -164,13 +158,12 @@ class FlagBackend(MatrixBackend):
         n, xs = a.payload
         m, ys = b.payload
         p, block = _adapted_columns(n, xs)
-        cols = []
+        cols = [RatMatrix.zeros(m, 0)]
         for j in range(n):
             i = block[j]
             target = ys[i].basis if i < len(ys) else RatMatrix.identity(m)
-            coeffs = _random_matrix(rng, target.cols, 1)
-            cols.append(list((target @ coeffs).column(0)))
-        img = RatMatrix.from_columns(cols, rows=m)
+            cols.append(target @ _random_matrix(rng, target.cols, 1))
+        img = hstack(*cols)
         return Morphism(self, a, b, img @ invert(p))
 
     def random_iso(self, rng, a: CatObject) -> Morphism:
@@ -178,12 +171,12 @@ class FlagBackend(MatrixBackend):
         p, _ = _adapted_columns(n, xs)
         # upper triangular with invertible diagonal fixes every initial
         # span of adapted columns, hence every marked layer
-        t = [[Fraction(0)] * n for _ in range(n)]
+        t = [[0] * n for _ in range(n)]
         for i in range(n):
-            t[i][i] = Fraction(rng.choice((1, -1, 2, -2)))
+            t[i][i] = rng.choice((1, -1, 2, -2))
             for j in range(i + 1, n):
-                t[i][j] = Fraction(rng.randint(-2, 2))
-        tm = RatMatrix.from_rows(t, cols=n)
+                t[i][j] = rng.randint(-2, 2)
+        tm = RatMatrix(n, n, [x for row in t for x in row])
         return Morphism(self, a, a, p @ tm @ invert(p))
 
     # -- serialization ------------------------------------------------------------

@@ -11,8 +11,6 @@ both mono and epi here, but certainly not invertible.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..core import CatObject, ConstraintViolation, Morphism
 from ..lattice import integer_kernel, pure_quotient_rows
 from ..linalg import RatMatrix, check_declared_dim, matrix_from_json, matrix_to_json
@@ -70,7 +68,7 @@ class LatZBackend(MatrixBackend):
         if rng.random() < 0.2:
             return Morphism(self, a, b, rng.choice(self._structural_candidates(a, b)))
         n, m = a.payload, b.payload
-        data = (Fraction(rng.randint(-3, 3)) for _ in range(m * n))
+        data = [rng.randint(-3, 3) for _ in range(m * n)]
         return Morphism(self, a, b, RatMatrix(m, n, data))
 
     def random_iso(self, rng, a: CatObject) -> Morphism:
@@ -84,8 +82,7 @@ class LatZBackend(MatrixBackend):
         if n and rng.random() < 0.5:
             i = rng.randrange(n)
             grid[i] = [-x for x in grid[i]]
-        return Morphism(self, a, a,
-                        RatMatrix(n, n, (Fraction(x) for row in grid for x in row)))
+        return Morphism(self, a, a, RatMatrix(n, n, [x for row in grid for x in row]))
 
     # -- serialization ------------------------------------------------------------
     def object_to_json(self, a: CatObject) -> dict:

@@ -8,13 +8,12 @@ integer kernels, and through them saturations; the Smith normal form
 Together they take kernels and cokernels of integer matrices inside the
 category of finitely generated free abelian groups.
 
-All matrices are :class:`preab.linalg.RatMatrix` values whose entries
-happen to be integers; everything stays exact.
+All matrices are :class:`preab.linalg.RatMatrix` values with
+denominator 1; the routines read and build their integer numerators
+directly, and everything stays exact.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .linalg import RatMatrix, solve_right, vstack
 
@@ -22,11 +21,12 @@ from .linalg import RatMatrix, solve_right, vstack
 def _int_grid(m: RatMatrix) -> list[list[int]]:
     if not m.is_integral():
         raise ValueError("matrix has non-integer entries")
-    return [[int(x) for x in m.row(i)] for i in range(m.rows)]
+    num, n = m._num, m.cols
+    return [list(num[i * n : (i + 1) * n]) for i in range(m.rows)]
 
 
 def _grid_matrix(grid: list[list[int]], rows: int, cols: int) -> RatMatrix:
-    return RatMatrix(rows, cols, (Fraction(x) for row in grid for x in row))
+    return RatMatrix._of(rows, cols, [x for row in grid for x in row])
 
 
 def column_hnf(m: RatMatrix) -> RatMatrix:
@@ -37,9 +37,8 @@ def column_hnf(m: RatMatrix) -> RatMatrix:
     entries to the left of a pivot reduced into [0, pivot).  It depends
     only on the generated subgroup, so it decides lattice equality.
     """
-    grid = _int_grid(m)
     nrows, ncols = m.rows, m.cols
-    cols = [[grid[i][j] for i in range(nrows)] for j in range(ncols)]
+    cols = _int_grid(m.transpose())
     done = 0
     for i in range(nrows):
         active = [j for j in range(done, ncols) if cols[j][i] != 0]
@@ -68,7 +67,7 @@ def column_hnf(m: RatMatrix) -> RatMatrix:
                 cols[j] = [a - q * b for a, b in zip(cols[j], cols[done])]
         done += 1
     kept = cols[:done]
-    return RatMatrix(nrows, done, (Fraction(kept[j][i]) for i in range(nrows) for j in range(done)))
+    return RatMatrix._of(nrows, done, [c[i] for i in range(nrows) for c in kept])
 
 
 def integer_kernel(m: RatMatrix) -> RatMatrix:
@@ -81,9 +80,10 @@ def integer_kernel(m: RatMatrix) -> RatMatrix:
     Theory, 2.4.3).
     """
     h = column_hnf(vstack(m, RatMatrix.identity(m.cols)))
-    keep = [j for j in range(h.cols) if all(h.entry(i, j) == 0 for i in range(m.rows))]
-    return RatMatrix(m.cols, len(keep),
-                     (h.entry(m.rows + i, j) for i in range(m.cols) for j in keep))
+    num, n, top = h._num, h.cols, m.rows * h.cols
+    keep = [j for j in range(n) if not any(num[j:top:n])]
+    return RatMatrix._of(m.cols, len(keep),
+                         [num[top + i * n + j] for i in range(m.cols) for j in keep])
 
 
 def smith_with_transforms(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
@@ -179,9 +179,9 @@ def elementary_divisors(m: RatMatrix) -> list[int]:
     _, d, _ = smith_with_transforms(m)
     out = []
     for i in range(min(d.rows, d.cols)):
-        x = d.entry(i, i)
+        x = d._num[i * d.cols + i]
         if x != 0:
-            out.append(int(x))
+            out.append(x)
     return out
 
 
@@ -265,8 +265,9 @@ def pure_quotient_rows(basis: RatMatrix) -> RatMatrix:
     if basis.cols == 0:
         return RatMatrix.identity(n)
     u, d, _ = smith_with_transforms(basis)
-    divisors = [d.entry(i, i) for i in range(min(d.rows, d.cols)) if d.entry(i, i) != 0]
+    diagonal = [d._num[i * d.cols + i] for i in range(min(d.rows, d.cols))]
+    divisors = [x for x in diagonal if x != 0]
     if any(x != 1 for x in divisors):
         raise ValueError("lattice is not saturated; saturate it first")
     r = len(divisors)
-    return RatMatrix(n - r, n, (u.entry(i, j) for i in range(r, n) for j in range(n)))
+    return RatMatrix._of(n - r, n, u._num[r * n :])

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Matrix entries are :class:`fractions.Fraction` values, so results are
-exact; no floating point is used anywhere.  Products and row reductions
-clear each row or column to integer numerators over one denominator,
-compute on Python ints and build one Fraction per output entry, so no
-scalar step pays for a Fraction's gcd.  Matrices are immutable and
+A matrix stores its entries as Python int numerators over one positive
+common denominator, in lowest terms, so results are exact and no
+floating point is used anywhere.  Products, row reductions, stacks and
+transposes compute on the numerators and reduce by one gcd at the end;
+:class:`fractions.Fraction` values are built only at the API and JSON
+boundary, where entries go in or come out.  Matrices are immutable and
 row-major.  Subspaces of Q^n are kept in a canonical basis (reduced
 column echelon form), which makes subspace equality a plain ``==``.
 
@@ -60,24 +61,56 @@ def frac(x) -> Fraction:
 
 
 class RatMatrix:
-    """An immutable rows x cols matrix of Fractions.
+    """An immutable rows x cols matrix over Q.
 
-    Zero-row and zero-column shapes are fully supported; they show up
-    naturally as maps to and from zero-dimensional spaces.
+    The entries are stored as integer numerators ``_num`` (row-major)
+    over one denominator ``_den > 0``, in lowest terms: the gcd of
+    ``_den`` and every numerator is 1, so a zero matrix has ``_den == 1``
+    and equal matrices have equal storage.  Fractions are built only
+    where entries leave the matrix (:meth:`entry`, :meth:`row`,
+    :meth:`column`, ``repr`` and JSON).  Zero-row and zero-column shapes
+    are fully supported; they show up naturally as maps to and from
+    zero-dimensional spaces.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
-    def __init__(self, rows: int, cols: int, data: Iterable[Fraction]):
+    def __init__(self, rows: int, cols: int, data: Iterable[int | Fraction]):
+        """Build from row-major entries, each an int or a Fraction.
+
+        Any other entry, bool and float included, is a TypeError;
+        :meth:`from_rows` also takes strings such as ``"3/4"``.
+        """
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
+        data = tuple(data)
+        if len(data) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
+        for x in data:
+            if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+                raise TypeError(f"matrix entries must be ints or Fractions, not {x!r}")
         self.rows = rows
         self.cols = cols
-        self._data = tuple(data)
-        if len(self._data) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries, got {len(self._data)}"
-            )
+        num, self._den = _over_lcm(data)
+        self._num = tuple(num)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, num: Sequence[int], den: int = 1) -> "RatMatrix":
+        """The matrix with numerators ``num`` over ``den > 0``, in lowest terms."""
+        if den != 1:
+            g = den
+            for x in num:
+                # pairwise, like _over_lcm; stop once the gcd is 1
+                if x:
+                    g = gcd(g, x)
+                    if g == 1:
+                        break
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+        m = object.__new__(cls)
+        m.rows, m.cols, m._num, m._den = rows, cols, tuple(num), den
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":
@@ -103,88 +136,97 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(n, n, (one if i == j else zero for i in range(n) for j in range(n)))
+        return cls._of(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls._of(rows, cols, (0,) * (rows * cols))
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._data[i * self.cols + j]
+        return Fraction(self._num[i * self.cols + j], self._den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._data[i * self.cols : (i + 1) * self.cols]
+        return _fractions(self._num[i * self.cols : (i + 1) * self.cols], self._den)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return self._data[j :: self.cols] if self.cols else ()
+        return _fractions(self._num[j :: self.cols], self._den) if self.cols else ()
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self._data)
+        return not any(self._num)
 
     def is_identity(self) -> bool:
         n = self.rows
-        return self.cols == n and all(
-            x == (1 if k % (n + 1) == 0 else 0) for k, x in enumerate(self._data))
+        return self.cols == n and self._den == 1 and all(
+            x == (1 if k % (n + 1) == 0 else 0) for k, x in enumerate(self._num))
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self._data)
+        return self._den == 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._data == other._data
+        return (self.rows == other.rows and self.cols == other.cols
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
+        return hash((self.rows, self.cols, self._den, self._num))
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return RatMatrix(self.rows, self.cols, (a + b for a, b in zip(self._data, other._data)))
+        d = lcm(self._den, other._den)
+        sa, sb = d // self._den, d // other._den
+        return RatMatrix._of(self.rows, self.cols,
+                             [a * sa + b * sb for a, b in zip(self._num, other._num)], d)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, (-a for a in self._data))
+        return RatMatrix._of(self.rows, self.cols, [-a for a in self._num], self._den)
 
     def scale(self, c) -> "RatMatrix":
         c = frac(c)
-        return RatMatrix(self.rows, self.cols, (c * a for a in self._data))
+        return RatMatrix._of(self.rows, self.cols, [c.numerator * a for a in self._num],
+                             c.denominator * self._den)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = [_over_lcm(other.column(j)) for j in range(other.cols)]
+        n, a = self.cols, self._num
+        cols = [other._num[j :: other.cols] for j in range(other.cols)]
         out = []
         for i in range(self.rows):
-            a, da = _over_lcm(self.row(i))
+            row = a[i * n : (i + 1) * n]
             # an empty dot product is the int 0, so inner dimension 0 gives exact zeros
-            out.extend(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols)
-        return RatMatrix(self.rows, other.cols, out)
+            out.extend([sum(map(mul, row, b)) for b in cols])
+        return RatMatrix._of(self.rows, other.cols, out, self._den * other._den)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         (self._data[j * self.cols + i] for i in range(self.cols) for j in range(self.rows)))
+        num, n = self._num, self.cols
+        return RatMatrix._of(n, self.rows, [x for j in range(n) for x in num[j::n]], self._den)
 
     def delete_row(self, i: int) -> "RatMatrix":
-        keep = [r for r in range(self.rows) if r != i]
-        return RatMatrix(self.rows - 1, self.cols, (x for r in keep for x in self.row(r)))
+        n = self.cols
+        return RatMatrix._of(self.rows - 1, n, self._num[: i * n] + self._num[(i + 1) * n :],
+                             self._den)
 
     def delete_column(self, j: int) -> "RatMatrix":
-        keep = [c for c in range(self.cols) if c != j]
-        return RatMatrix(self.rows, self.cols - 1,
-                         (self.entry(r, c) for r in range(self.rows) for c in keep))
+        n = self.cols
+        num = [x for k, x in enumerate(self._num) if k % n != j]
+        return RatMatrix._of(self.rows, n - 1, num, self._den)
 
     def with_entry(self, i: int, j: int, value) -> "RatMatrix":
-        data = list(self._data)
-        data[i * self.cols + j] = frac(value)
-        return RatMatrix(self.rows, self.cols, data)
+        value = frac(value)
+        d = lcm(self._den, value.denominator)
+        s = d // self._den
+        num = [x * s for x in self._num]
+        num[i * self.cols + j] = value.numerator * (d // value.denominator)
+        return RatMatrix._of(self.rows, self.cols, num, d)
 
     def __repr__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -193,35 +235,57 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
+def _fractions(num: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    return tuple([Fraction(x, den) for x in num])
+
+
 def hstack(*mats: RatMatrix) -> RatMatrix:
-    mats = [m for m in mats]
     if not mats:
         raise ValueError("need at least one matrix")
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("row counts differ")
-    data = []
+    d = _common_den(mats)
+    blocks = [(_numerators_over(m, d), m.cols) for m in mats]
+    num = []
     for i in range(rows):
-        for m in mats:
-            data.extend(m.row(i))
-    return RatMatrix(rows, sum(m.cols for m in mats), data)
+        for a, n in blocks:
+            num.extend(a[i * n : (i + 1) * n])
+    return RatMatrix._of(rows, sum(m.cols for m in mats), num, d)
 
 
 def vstack(*mats: RatMatrix) -> RatMatrix:
-    mats = [m for m in mats]
     if not mats:
         raise ValueError("need at least one matrix")
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("column counts differ")
-    data = []
+    d = _common_den(mats)
+    num = []
     for m in mats:
-        data.extend(m._data)
-    return RatMatrix(sum(m.rows for m in mats), cols, data)
+        num.extend(_numerators_over(m, d))
+    return RatMatrix._of(sum(m.rows for m in mats), cols, num, d)
 
 
-def _over_lcm(v: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The integer numerators of ``v`` over the lcm of its denominators, and that lcm."""
+def _common_den(mats: Sequence[RatMatrix]) -> int:
+    d = 1
+    for m in mats:
+        d = lcm(d, m._den)
+    return d
+
+
+def _numerators_over(m: RatMatrix, d: int) -> Sequence[int]:
+    """The numerators of ``m`` over ``d``, a multiple of its denominator."""
+    s = d // m._den
+    return m._num if s == 1 else [x * s for x in m._num]
+
+
+def _over_lcm(v: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """The integer numerators of ``v`` over the lcm of its denominators, and that lcm.
+
+    The pair is in lowest terms: for each prime of the lcm, the entry
+    whose denominator carries its full power keeps a numerator prime to it.
+    """
     d = 1
     # pairwise, not lcm(*gen): the argument tuples raise peak memory
     for x in v:
@@ -235,16 +299,18 @@ def _over_lcm(v: Sequence[Fraction]) -> tuple[list[int], int]:
 def _rref_pivots(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form together with its pivot columns.
 
-    The elimination runs on integer rows: row i becomes p*row_i - f*row_r
-    and is then divided by the gcd of its entries.  Each stored row stays
-    a non-zero multiple of the row the rational elimination would hold,
-    so the pivots are the same and one division per entry at the end
-    gives the (unique) rref.
+    The elimination runs on the numerator rows: row i becomes
+    p*row_i - f*row_r and is then divided by the gcd of its entries.
+    Each stored row stays a non-zero multiple of the row the rational
+    elimination would hold, so the pivots are the same, and each pivot
+    row over its pivot is a row of the (unique) rref.  The result is
+    stored over the lcm of the pivots.
     """
     nrows, ncols = m.rows, m.cols
     if nrows == 0 or ncols == 0:
         return m, ()
-    rows = [_over_lcm(m.row(i))[0] for i in range(nrows)]
+    num = m._num
+    rows = [list(num[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -274,13 +340,15 @@ def _rref_pivots(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
                 rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    zero = Fraction(0)
-    data = []
+    d = 1
     for row, c in zip(rows, pivots):
-        p = row[c]
-        data.extend(Fraction(x, p) if x else zero for x in row)
-    data.extend((zero,) * (ncols * (nrows - r)))
-    return RatMatrix(nrows, ncols, data), tuple(pivots)
+        d = lcm(d, row[c])
+    out = []
+    for row, c in zip(rows, pivots):
+        s = d // row[c]  # negative when the pivot is, so the pivot becomes d
+        out.extend([x * s for x in row])
+    out.extend([0] * (ncols * (nrows - r)))
+    return RatMatrix._of(nrows, ncols, out, d), tuple(pivots)
 
 
 def rref(m: RatMatrix) -> RatMatrix:
@@ -305,26 +373,25 @@ def column_echelon_basis(m: RatMatrix) -> RatMatrix:
     matrices have equal column space iff this function agrees on them.
     """
     r, pivots = _rref_pivots(m.transpose())
-    n, k, d = m.rows, len(pivots), r._data
+    n, k, num = m.rows, len(pivots), r._num
     # row i of the result is column i of the k pivot rows
-    return RatMatrix(n, k, [x for i in range(n) for x in d[i : k * n : n]])
+    return RatMatrix._of(n, k, [x for i in range(n) for x in num[i : k * n : n]], r._den)
 
 
 def _kernel_columns(m: RatMatrix) -> RatMatrix:
     """A basis of the solution space of m x = 0, one column per free variable."""
     r, pivots = _rref_pivots(m)
-    n, d = m.cols, r._data
+    n, num, d = m.cols, r._num, r._den
     pivot_row = dict(zip(pivots, range(len(pivots))))
     free = [c for c in range(n) if c not in pivot_row]
-    one, zero = Fraction(1), Fraction(0)
-    data = []
+    out = []
     for c in range(n):
         i = pivot_row.get(c)
         if i is None:
-            data.extend(one if f == c else zero for f in free)
+            out.extend([d if f == c else 0 for f in free])
         else:
-            data.extend(-d[i * n + f] for f in free)
-    return RatMatrix(n, len(free), data)
+            out.extend([-num[i * n + f] for f in free])
+    return RatMatrix._of(n, len(free), out, d)
 
 
 def kernel_basis(m: RatMatrix) -> "Subspace":
@@ -348,14 +415,14 @@ def solve_right(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     aug, pivots = _rref_pivots(hstack(a, b))
     if any(p >= a.cols for p in pivots):
         return None  # a pivot in the b block means the system is inconsistent
-    n, d = a.cols + b.cols, aug._data
+    n, num = a.cols + b.cols, aug._num
     pivot_row = dict(zip(pivots, range(len(pivots))))
-    zeros = (Fraction(0),) * b.cols
-    data = []
+    zeros = (0,) * b.cols
+    out = []
     for c in range(a.cols):
         i = pivot_row.get(c)
-        data.extend(zeros if i is None else d[i * n + a.cols : (i + 1) * n])
-    return RatMatrix(a.cols, b.cols, data)
+        out.extend(zeros if i is None else num[i * n + a.cols : (i + 1) * n])
+    return RatMatrix._of(a.cols, b.cols, out, aug._den)
 
 
 def invert(m: RatMatrix) -> RatMatrix | None:
@@ -427,8 +494,7 @@ class Subspace:
             return Subspace.zero(self.ambient_dim)
         # (x, y) with B1 x = B2 y; the intersection is B1 x
         k = kernel_basis(hstack(self.basis, -other.basis))
-        coeffs = RatMatrix(self.dim, k.dim,
-                           (k.basis.entry(i, j) for i in range(self.dim) for j in range(k.dim)))
+        coeffs = RatMatrix._of(self.dim, k.dim, k.basis._num[: self.dim * k.dim], k.basis._den)
         return Subspace.span(self.ambient_dim, self.basis @ coeffs)
 
     def add(self, other: "Subspace") -> "Subspace":
@@ -457,7 +523,7 @@ def preimage(m: RatMatrix, s: Subspace) -> Subspace:
     if m.rows != s.ambient_dim:
         raise ValueError("map codomain does not match subspace ambient space")
     k = _kernel_columns(hstack(m, s.basis))
-    return Subspace(m.cols, RatMatrix(m.cols, k.cols, k._data[: m.cols * k.cols]))
+    return Subspace(m.cols, RatMatrix._of(m.cols, k.cols, k._num[: m.cols * k.cols], k._den))
 
 
 def complement_rows(s: Subspace) -> RatMatrix:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -353,9 +354,13 @@ class TestEntryPoints:
         assert "--config" in capsys.readouterr().out
 
     def test_module_invocation(self):
+        # the child imports the same preab as this process, installed or not
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run(
             [sys.executable, "-m", "preab.cli", "check", "strict"],
-            input=json.dumps(SUBVECT_WITNESS), capture_output=True, text=True)
+            input=json.dumps(SUBVECT_WITNESS), capture_output=True, text=True, env=env)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["verdict"] == "fail"
 

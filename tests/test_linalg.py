@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preab.lattice import IntLattice, column_hnf
+from preab.lattice import IntLattice, column_hnf, integer_kernel
 from preab.linalg import (
     MAX_DIM,
     RatMatrix,
@@ -194,8 +195,8 @@ def _rational_draws(rng: random.Random, count: int):
 
 
 def _all_fractions(m: RatMatrix) -> bool:
-    # matrix_to_json writes str(entry), so a result must hold Fractions, not ints
-    return all(type(x) is Fraction for x in m._data)
+    # matrix_to_json writes str(entry), so a result must hand out Fractions, not ints
+    return all(type(x) is Fraction for i in range(m.rows) for x in m.row(i))
 
 
 def _to_sympy(m: RatMatrix):
@@ -380,8 +381,8 @@ def test_matmul_matches_sympy():
 
 
 def test_products_and_eliminations_do_no_fraction_arithmetic(monkeypatch):
-    """rref, rank, solve_right and @ compute on integer numerators and only
-    construct Fractions; a Fraction operator call means a scalar loop is back."""
+    """rref, rank, solve_right and @ compute on integer numerators; a
+    Fraction operator call means a scalar loop is back."""
     rng = random.Random("no fraction arithmetic")
     mats = list(_rational_draws(rng, 20))
     pairs = [(a, _random_rational_matrix(rng, a.cols, rng.randint(0, 4))) for a in mats]
@@ -403,6 +404,90 @@ def test_products_and_eliminations_do_no_fraction_arithmetic(monkeypatch):
     assert calls == []
     Fraction(1) + Fraction(2)  # the counters are live
     assert calls == ["__add__"]
+
+
+def test_linear_algebra_and_lattice_build_no_fractions(monkeypatch):
+    """Matrices hold integer numerators over one denominator, so the
+    products, eliminations, stacks and Hermite forms never build a Fraction."""
+    rng = random.Random("no fractions built")
+    mats = list(_rational_draws(rng, 20))
+    pairs = [(a, _random_rational_matrix(rng, a.cols, rng.randint(0, 4))) for a in mats]
+    systems = [(a, a @ x) for a, x in pairs]
+    integral = [_random_matrix(rng, rng.randint(0, 5), rng.randint(0, 6)) for _ in range(20)]
+    built = []
+    real_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: built.append(args) or real_new(cls, *args, **kw))
+    for a, x in pairs:
+        a @ x
+    for a, b in systems:
+        assert solve_right(a, b) is not None
+    for m in mats:
+        rref(m)
+        rank(m)
+        column_echelon_basis(m)
+        kernel_basis(m)
+        Subspace(m.rows, m)
+        hstack(m, m)
+        vstack(m, m)
+        m.transpose()
+    for m in integral:
+        column_hnf(m)
+        integer_kernel(m)
+    assert built == []
+    Fraction(1, 2)  # the counter is live
+    assert built == [(1, 2)]
+
+
+def _lowest_terms(m: RatMatrix) -> bool:
+    return m._den > 0 and gcd(m._den, *m._num) == 1
+
+
+def test_stored_form_is_canonical():
+    """Every route to a matrix stores the same numerators and denominator."""
+    rng = random.Random("canonical storage")
+    cases = [RatMatrix.zeros(0, 3), RatMatrix.zeros(3, 0), RatMatrix.zeros(0, 0),
+             _m([[Fraction(1, 6), Fraction(1, 10), Fraction(1, 15)]]),
+             # 1/2 * 2 + 1/3 * 3: the product's denominator 6 cancels to 1
+             _m([["1/2", "1/3"]]) @ _m([[2], [3]])]
+    for _ in range(40):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        cases.append(RatMatrix(rows, cols, [
+            Fraction(rng.randint(-9, 9), rng.choice((1, 2, 6, 10, 15)))
+            if rng.random() < 0.7 else 0 for _ in range(rows * cols)]))
+    assert cases[4] == _m([[2]]) and cases[4].is_integral()
+    for m in cases:
+        grid = [m.row(i) for i in range(m.rows)]
+        c = Fraction(rng.choice((-7, -1, 3, 4)), rng.choice((1, 6, 10, 15)))
+        k, r = rng.randint(0, m.cols), rng.randint(0, m.rows)
+        routes = [
+            RatMatrix.from_rows(grid, cols=m.cols),
+            m @ RatMatrix.identity(m.cols),
+            m.transpose().transpose(),
+            m.scale(c).scale(1 / c),
+            hstack(RatMatrix.from_rows([row[:k] for row in grid], cols=k),
+                   RatMatrix.from_rows([row[k:] for row in grid], cols=m.cols - k)),
+            vstack(RatMatrix.from_rows(grid[:r], cols=m.cols),
+                   RatMatrix.from_rows(grid[r:], cols=m.cols)),
+            vstack(m, RatMatrix.zeros(1, m.cols)).delete_row(m.rows),
+            vstack(RatMatrix.zeros(1, m.cols), m).delete_row(0),
+            matrix_from_json(matrix_to_json(m)),
+        ]
+        for other in routes:
+            assert other == m and hash(other) == hash(m) and _lowest_terms(other)
+        entries = [x for row in grid for x in row]
+        assert m.is_integral() == all(x.denominator == 1 for x in entries)
+        assert m.is_zero() == all(x == 0 for x in entries)
+    assert RatMatrix.zeros(2, 3).scale(Fraction(1, 6)) == RatMatrix.zeros(2, 3)
+
+
+def test_constructor_refuses_entries_that_are_not_ints_or_fractions():
+    for bad in (0.5, True, "1/2", None):
+        with pytest.raises(TypeError):
+            RatMatrix(1, 2, [1, bad])
+    with pytest.raises(TypeError):
+        RatMatrix(1, 2, [0.5, True])
+    assert RatMatrix(1, 2, [1, Fraction(1, 2)]) == _m([[1, "1/2"]])
 
 
 # ------------------------------------------------------------ round trips
