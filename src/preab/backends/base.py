@@ -14,6 +14,11 @@ from ..core import Biproduct, CatObject, Category, Cone, ConstraintViolation, Mo
 from ..linalg import RatMatrix, hstack, invert, solve_right
 
 
+def _unit_block(rows: int, cols: int, shift: int) -> RatMatrix:
+    """The 0/1 matrix with a 1 at (i, j) exactly when j - i == shift."""
+    return RatMatrix._of(rows, cols, [int(j - i == shift) for i in range(rows) for j in range(cols)])
+
+
 class MatrixBackend(Category):
     """Category base class with RatMatrix morphism payloads.
 
@@ -72,14 +77,12 @@ class MatrixBackend(Category):
     def biproduct(self, a: CatObject, b: CatObject) -> Biproduct:
         n, m = self.ambient_dim(a.payload), self.ambient_dim(b.payload)
         ob = CatObject(self, self.direct_sum_payload(a.payload, b.payload))
-        top = hstack(RatMatrix.identity(n), RatMatrix.zeros(n, m))
-        bot = hstack(RatMatrix.zeros(m, n), RatMatrix.identity(m))
         return Biproduct(
             ob=ob,
-            inj1=Morphism(self, a, ob, top.transpose()),
-            inj2=Morphism(self, b, ob, bot.transpose()),
-            proj1=Morphism(self, ob, a, top),
-            proj2=Morphism(self, ob, b, bot),
+            inj1=Morphism(self, a, ob, _unit_block(n + m, n, 0)),
+            inj2=Morphism(self, b, ob, _unit_block(n + m, m, -n)),
+            proj1=Morphism(self, ob, a, _unit_block(n, n + m, 0)),  # [I 0]
+            proj2=Morphism(self, ob, b, _unit_block(m, n + m, n)),  # [0 I]
         )
 
     def _is_identity(self, f: Morphism) -> bool:

@@ -20,9 +20,7 @@ from ..linalg import (
     RatMatrix,
     Subspace,
     check_declared_dim,
-    complement_rows,
     hstack,
-    image_basis,
     invert,
     kernel_basis,
     matrix_from_json,
@@ -53,7 +51,9 @@ def _adapted_columns(dim: int, layers: tuple[Subspace, ...]) -> tuple[RatMatrix,
     owner = [i for i, b in enumerate(blocks) for _ in range(b.cols)]
     stacked = hstack(*blocks)
     pivots = pivot_columns(stacked)
-    p = RatMatrix.from_columns([stacked.column(j) for j in pivots], rows=dim)
+    n, num = stacked.cols, stacked._num
+    p = RatMatrix._of(dim, len(pivots), [num[i * n + j] for i in range(dim) for j in pivots],
+                      stacked._den)
     return p, [owner[j] for j in pivots]
 
 
@@ -101,7 +101,8 @@ class FlagBackend(MatrixBackend):
         for x, y in zip(xs, ys):
             padded = vert_shift(x.basis, 0, m)
             shifted = vert_shift(y.basis, n, 0)
-            layers.append(Subspace.span(n + m, hstack(padded, shifted)))
+            # block-diagonal of two canonical bases: already canonical
+            layers.append(Subspace._canonical(n + m, hstack(padded, shifted)))
         return (n + m, tuple(layers))
 
     def drop_coordinate(self, payload, j: int):
@@ -115,7 +116,11 @@ class FlagBackend(MatrixBackend):
         _, xs = dom_payload
         _, ys = cod_payload
         for x, y in zip(xs, ys):
-            if x.dim and solve_right(y.basis, m @ x.basis) is None:
+            if not x.dim or y.dim == y.ambient_dim:
+                continue  # nothing to map, or everything lands in the whole space
+            image = m @ x.basis
+            fits = image.is_zero() if y.dim == 0 else solve_right(y.basis, image) is not None
+            if not fits:
                 raise ConstraintViolation("matrix does not map marked layers into marked layers")
 
     def kernel_data(self, f: Morphism):
@@ -126,7 +131,8 @@ class FlagBackend(MatrixBackend):
 
     def cokernel_data(self, f: Morphism):
         m, ys = f.cod.payload
-        q = complement_rows(image_basis(f.payload))
+        # the rows of q span the annihilator of the image, the kernel of f^T
+        q = kernel_basis(f.payload.transpose()).basis.transpose()
         layers = tuple(pushforward(q, y) for y in ys)
         return (q.rows, layers), q
 

@@ -8,6 +8,9 @@ transposes compute on the numerators and reduce by one gcd at the end;
 boundary, where entries go in or come out.  Matrices are immutable and
 row-major.  Subspaces of Q^n are kept in a canonical basis (reduced
 column echelon form), which makes subspace equality a plain ``==``.
+A kernel's canonical basis is read off one elimination, of the matrix
+with its columns in reverse order, and so are preimages and quotient
+coordinates; the zero and full subspaces need no elimination at all.
 
 >>> m = RatMatrix.from_rows([[2, 4], [1, 2]])
 >>> rref(m) == RatMatrix.from_rows([[1, 2], [0, 0]])
@@ -28,8 +31,9 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 # the largest dimension a JSON input may declare.  It bounds the shapes
 # an input can declare, not the time: a dense input far below it can
-# still run for minutes (a dense 80x160 vectq decompose takes 3.4 s, and
-# a dense 40x80 latz one did not finish within 100 s)
+# still run for minutes.  With entries in -3..3 on a 2-CPU machine, a
+# dense 80x160 vectq decompose takes 4.1 s, and a dense 40x80 latz one
+# did not finish within 100 s
 MAX_DIM = 512
 
 
@@ -378,11 +382,23 @@ def column_echelon_basis(m: RatMatrix) -> RatMatrix:
     return RatMatrix._of(n, k, [x for i in range(n) for x in num[i : k * n : n]], r._den)
 
 
-def _kernel_columns(m: RatMatrix) -> RatMatrix:
-    """A basis of the solution space of m x = 0, one column per free variable."""
-    r, pivots = _rref_pivots(m)
-    n, num, d = m.cols, r._num, r._den
-    pivot_row = dict(zip(pivots, range(len(pivots))))
+def _kernel_echelon(m: RatMatrix) -> RatMatrix:
+    """The canonical basis (reduced column echelon form) of m x = 0.
+
+    One elimination, of ``m`` with its columns in reverse order.  In that
+    rref, the solution of free column f is 1 at f, 0 at every other free
+    column, and non-zero otherwise only at pivot columns after f (in the
+    original order), since a pivot row is zero left of its pivot.  Taken
+    in the order of f, these solutions are the rows of the rref of the
+    transposed basis, so no second elimination is needed.
+    """
+    nrows, n = m.rows, m.cols
+    num = m._num
+    reversed_num = [x for i in range(nrows) for x in reversed(num[i * n : (i + 1) * n])]
+    r, pivots = _rref_pivots(RatMatrix._of(nrows, n, reversed_num, m._den))
+    rnum, d = r._num, r._den
+    # original column -> its pivot row in the reversed rref
+    pivot_row = {n - 1 - p: i for i, p in enumerate(pivots)}
     free = [c for c in range(n) if c not in pivot_row]
     out = []
     for c in range(n):
@@ -390,13 +406,14 @@ def _kernel_columns(m: RatMatrix) -> RatMatrix:
         if i is None:
             out.extend([d if f == c else 0 for f in free])
         else:
-            out.extend([-num[i * n + f] for f in free])
+            row = rnum[i * n : (i + 1) * n]
+            out.extend([-row[n - 1 - f] for f in free])
     return RatMatrix._of(n, len(free), out, d)
 
 
 def kernel_basis(m: RatMatrix) -> "Subspace":
     """The solution space of m x = 0, as a canonical Subspace of Q^cols."""
-    return Subspace(m.cols, _kernel_columns(m))
+    return Subspace._canonical(m.cols, _kernel_echelon(m))
 
 
 def image_basis(m: RatMatrix) -> "Subspace":
@@ -439,7 +456,10 @@ class Subspace:
     The constructor takes any n x k spanning matrix and stores its
     reduced column echelon form, so every Subspace is canonical and two
     values are equal exactly when they describe the same subspace.
-    :meth:`span` also accepts a list of vectors.
+    :meth:`span` also accepts a list of vectors.  Where the canonical
+    basis is known without eliminating (:meth:`zero`, :meth:`full`, a
+    kernel read off one elimination with its columns reversed), it is
+    stored through :meth:`_canonical` instead.
     """
 
     __slots__ = ("ambient_dim", "basis")
@@ -451,6 +471,24 @@ class Subspace:
         self.basis = column_echelon_basis(basis)
 
     @classmethod
+    def _canonical(cls, ambient_dim: int, basis: RatMatrix) -> "Subspace":
+        """The subspace whose basis already is in reduced column echelon form.
+
+        Nothing is checked: the caller vouches for the form.  The callers
+        and why each basis is canonical:
+
+        - :meth:`zero` (no columns) and :meth:`full` (the identity);
+        - :func:`kernel_basis` and :func:`preimage`, which read the form
+          off one elimination (see :func:`_kernel_echelon`);
+        - ``FlagBackend.direct_sum_payload``, whose layers are the
+          block-diagonal of two canonical bases: the blocks' pivot rows
+          do not overlap, so the result is canonical too.
+        """
+        s = object.__new__(cls)
+        s.ambient_dim, s.basis = ambient_dim, basis
+        return s
+
+    @classmethod
     def span(cls, ambient_dim: int, vectors) -> "Subspace":
         """Subspace spanned by the columns of ``vectors`` (or listed vectors)."""
         if not isinstance(vectors, RatMatrix):
@@ -459,11 +497,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RatMatrix.zeros(ambient_dim, 0))
+        return cls._canonical(ambient_dim, RatMatrix.zeros(ambient_dim, 0))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RatMatrix.identity(ambient_dim))
+        return cls._canonical(ambient_dim, RatMatrix.identity(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -510,6 +548,8 @@ def pushforward(m: RatMatrix, s: Subspace) -> Subspace:
     """Image of ``s`` under the linear map ``m``."""
     if m.cols != s.ambient_dim:
         raise ValueError("map domain does not match subspace ambient space")
+    if not s.dim:
+        return Subspace.zero(m.rows)
     return Subspace.span(m.rows, m @ s.basis)
 
 
@@ -518,12 +558,16 @@ def preimage(m: RatMatrix, s: Subspace) -> Subspace:
 
     With S = ``s.basis``, the kernel of [m | S] is the set of (x, y) with
     m x = -S y, so its projection onto the first ``m.cols`` coordinates
-    is the preimage.
+    is the preimage.  That projection of the canonical kernel basis is
+    already canonical: S has full column rank, so every free column of
+    [m | S] lies in the m block, and the top rows keep each basis
+    vector's leading 1 and the zeros at the other free columns.
     """
     if m.rows != s.ambient_dim:
         raise ValueError("map codomain does not match subspace ambient space")
-    k = _kernel_columns(hstack(m, s.basis))
-    return Subspace(m.cols, RatMatrix._of(m.cols, k.cols, k._num[: m.cols * k.cols], k._den))
+    k = _kernel_echelon(hstack(m, s.basis))
+    return Subspace._canonical(
+        m.cols, RatMatrix._of(m.cols, k.cols, k._num[: m.cols * k.cols], k._den))
 
 
 def complement_rows(s: Subspace) -> RatMatrix:

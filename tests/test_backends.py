@@ -127,26 +127,36 @@ def test_adapted_columns_run_up_the_chain(name):
 
 def test_subspace_questions_take_one_elimination_each(monkeypatch):
     """Counts calls of the one elimination routine, so that a second
-    elimination per question (building a Subspace only to test it, or a
-    solve per candidate vector) shows up."""
+    elimination per question (building a Subspace only to test it, or
+    eliminating a basis that is already canonical) shows up.  A layer
+    check needs no solve when the codomain layer is the whole space or
+    zero, and a zero layer's pushforward needs none either."""
     calls = []
     real = linalg._rref_pivots
     monkeypatch.setattr(linalg, "_rref_pivots", lambda m: calls.append(m) or real(m))
+
+    def count(call, *args):
+        calls.clear()
+        call(*args)
+        return len(calls)
+
     rng = random.Random("elimination counts")
     for _ in range(40):
         a, b = FILTVECT3.random_object(rng, 4), FILTVECT3.random_object(rng, 4)
         f = FILTVECT3.random_morphism(rng, a, b)
-        (n, xs), (_, ys) = a.payload, b.payload
-        calls.clear()
-        FILTVECT3.check_payload_constraints(a.payload, b.payload, f.payload)
-        assert len(calls) == sum(1 for x in xs if x.dim)
+        (n, xs), (m, ys) = a.payload, b.payload
+        solves = sum(1 for x, y in zip(xs, ys) if x.dim and 0 < y.dim < m)
+        assert count(FILTVECT3.check_payload_constraints, a.payload, b.payload,
+                     f.payload) == solves
         for y in ys:
-            calls.clear()
-            preimage(f.payload, y)
-            assert len(calls) == 2
-        calls.clear()
-        _adapted_columns(n, xs)
-        assert len(calls) == 1
+            assert count(preimage, f.payload, y) == 1
+        assert count(_adapted_columns, n, xs) == 1
+        assert count(linalg.kernel_basis, f.payload) == 1
+        assert count(FILTVECT3.kernel_data, f) == 1 + len(xs)
+        assert count(FILTVECT3.cokernel_data, f) == 1 + sum(1 for y in ys if y.dim)
+        assert count(Subspace.zero, n) == count(Subspace.full, n) == 0
+        assert count(FILTVECT3.direct_sum_payload, a.payload, b.payload) == 0
+        assert count(FILTVECT3.biproduct, a, b) == 0
 
 
 def test_latz_cokernel_takes_two_hermite_forms(monkeypatch):

@@ -48,6 +48,15 @@ REFERENCE_SHA256 = {
     "latz": "512fd0f6ed58f5736aa6748399df137f9380a918032b8649fdbd221be984fe30",
 }
 
+# the same config at dim_bound 8, where layers are partial and matrices
+# two to three times larger
+REFERENCE_SHA256_DIM_8 = {
+    "vectq": "b9d1548935c1315bbfd103ee7fa4a5f746ea7e393a75b4d3211f131cfbaa3f5f",
+    "subvect": "612b7579a684bee4ce1bbb6346b171c74d629a90690fa3c6691f8a363387ac74",
+    "filtvect3": "c4d38db9e6bc4a652dc340ed29bb6da0ced64e3e5a0d1db7eb0b612b21c30956",
+    "latz": "10a38e5fa1aeeb503020963acc25ee06bed2f488ea25374734f8abe5c8103bc2",
+}
+
 
 def run_main(argv, stdin_text=None, monkeypatch=None, capsys=None):
     if stdin_text is not None:
@@ -147,6 +156,14 @@ class TestAuditCommand:
         out, _ = capsys.readouterr()
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_SHA256[backend]
+
+    @pytest.mark.parametrize("backend", sorted(REFERENCE_SHA256_DIM_8))
+    def test_reference_report_bytes_at_dim_bound_8(self, tmp_path, capsys, backend):
+        cfg = write_json(tmp_path, "cfg.json", {**REFERENCE_CONFIG, "dim_bound": 8})
+        code = main(["audit", "--config", cfg, "--backend", backend])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_SHA256_DIM_8[backend]
 
     def test_config_on_stdin(self, monkeypatch, capsys):
         code, out, err = run_main(["audit", "--config", "-"],

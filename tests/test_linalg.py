@@ -17,6 +17,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preab.backends import FILTVECT3, VECTQ
 from preab.lattice import IntLattice, column_hnf, integer_kernel
 from preab.linalg import (
     MAX_DIM,
@@ -249,6 +250,66 @@ def test_kernel_matches_sympy_nullspace():
             continue
         theirs = Subspace.span(m.cols, hstack(*[_from_sympy(v) for v in null]))
         assert ours == theirs
+
+
+def _free_variable_kernel(m: RatMatrix) -> RatMatrix:
+    """The kernel as the textbook writes it: eliminate left to right and
+    give each free variable its own column, which need not be canonical."""
+    r = rref(m)
+    pivots = [next(j for j, x in enumerate(r.row(i)) if x)
+              for i in range(r.rows) if any(r.row(i))]
+    cols = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(m.cols)]
+        for i, p in enumerate(pivots):
+            v[p] = -r.entry(i, f)
+        cols.append(v)
+    return RatMatrix.from_columns(cols, rows=m.cols)
+
+
+def _rank_deficient_draws(rng: random.Random, count: int):
+    """_rational_draws, with about a third of them replaced by a product
+    through Q^1 or Q^2 of the same shape."""
+    for m in _rational_draws(rng, count):
+        if m.rows and m.cols and rng.random() < 0.35:
+            k = rng.randint(1, 2)
+            m = _random_rational_matrix(rng, m.rows, k) @ _random_rational_matrix(rng, k, m.cols)
+        yield m
+
+
+def test_read_off_canonical_forms_equal_the_two_step_forms():
+    """kernel_basis, preimage and the flag cokernel leg read their
+    canonical basis off one elimination; each equals what eliminating
+    a second time gives, and every Subspace stored without elimination
+    equals the constructor's canonical form of the same basis."""
+    rng = random.Random("read-off canonical forms")
+    not_canonical = 0
+    for m in _rank_deficient_draws(rng, 60):
+        ours = kernel_basis(m)
+        assert column_echelon_basis(ours.basis) == ours.basis
+        textbook = _free_variable_kernel(m)
+        not_canonical += column_echelon_basis(textbook) != textbook
+        assert ours.basis == column_echelon_basis(textbook)
+        null = _to_sympy(m).nullspace()
+        vectors = hstack(*[_from_sympy(v) for v in null]) if null else RatMatrix.zeros(m.cols, 0)
+        assert ours == Subspace.span(m.cols, vectors)
+
+        k = rng.randint(0, m.rows + 1)
+        t = Subspace(m.rows, _random_rational_matrix(rng, m.rows, k))
+        pre = preimage(m, t)
+        assert pre == kernel_basis(complement_rows(t) @ m)
+        f = VECTQ.make_morphism(VECTQ.obj(m.cols), VECTQ.obj(m.rows), m)
+        assert VECTQ.cokernel_data(f)[1] == complement_rows(image_basis(m))
+
+        n = m.cols
+        read_off = [ours, pre, Subspace.zero(n), Subspace.full(n),
+                    pushforward(m, Subspace.zero(n))]
+        read_off += FILTVECT3.direct_sum_payload(FILTVECT3.random_object(rng, 4).payload,
+                                                 FILTVECT3.random_object(rng, 4).payload)[1]
+        for s in read_off:
+            assert Subspace(s.ambient_dim, s.basis) == s
+    # the forward elimination alone is not canonical, so the comparison bites
+    assert not_canonical
 
 
 def test_invert_matches_sympy():
