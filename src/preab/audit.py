@@ -171,9 +171,9 @@ def _generate_right(cat: Category, index: str, rng: random.Random, bound: int):
         extra = cat.random_object(rng, bound)
         bp = cat.biproduct(k.dom, extra)
         u = cat.random_iso(rng, k.dom)
-        inner = bp.inj1 @ u
+        inner = bp.pair(u, cat.zero_morphism(k.dom, extra))
         spill = cat.random_morphism(rng, extra, k.cod)
-        outer = k @ cat.divide_left(u, cat.identity(k.dom)) @ bp.proj1 + spill @ bp.proj2
+        outer = bp.copair(k @ cat.divide_left(u, cat.identity(k.dom)), spill)
         return PairInstance(outer=outer, inner=inner)
     if index == "vi":
         h = _rand_kernel_leg(cat, rng, bound)
@@ -194,7 +194,7 @@ def _generate_right(cat: Category, index: str, rng: random.Random, bound: int):
         extra = cat.random_object(rng, bound)
         bp = cat.biproduct(e.cod, extra)
         w = cat.random_iso(rng, bp.ob)
-        top = w @ bp.inj1 @ e
+        top = bp.split_out(w)[0] @ e
         alpha = cat.random_morphism(rng, top.dom, cat.random_object(rng, bound))
         return SquareInstance(pushout(alpha, top))
     raise ValueError(f"unknown condition index: {index!r}")
@@ -205,20 +205,25 @@ def generate_instance(backend: str, cond, dim_bound: int, seed) -> CheckResult:
 
     Returns the CheckResult of the first attempt whose verdict is not
     vacuous; the instance is its .instance.  Checkers are pure, so this is
-    exactly what checking that instance afresh returns.  Retries a few
+    exactly what checking that instance afresh returns.  A left condition
+    is checked as its right-side mirror on the opposite-category instance
+    just built; only the returned result is dualized, so its instance
+    serializes on the base side.  Retries a few
     reseeded attempts when a construction degenerates into a vacuous
     instance; raises GenerationExhausted when they all do.
     """
     cond = ConditionId.parse(cond) if isinstance(cond, str) else cond
     base = get_backend(backend)
     cat = base if cond.side == "right" else base.opposite()
+    mirror = ConditionId("right", cond.index)
     for attempt in range(GENERATION_RETRIES):
         rng = random.Random(f"{seed}:try:{attempt}")
         inst = _generate_right(cat, cond.index, rng, dim_bound)
-        if cond.side == "left":
-            inst = inst.dualize()
-        res = check_condition(cond, inst)
+        # a left condition is its right mirror on the opposite-side instance
+        res = check_condition(mirror, inst)
         if res.verdict != VACUOUS:
+            if cond.side == "left":
+                res = CheckResult(str(cond), res.verdict, inst.dualize(), res.witness)
             return res
     raise GenerationExhausted(f"no non-vacuous instance for {cond} from seed {seed!r}")
 

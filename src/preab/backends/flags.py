@@ -19,17 +19,16 @@ from ..core import CatObject, ConstraintViolation, Morphism
 from ..linalg import (
     RatMatrix,
     Subspace,
+    block_diagonal,
     check_declared_dim,
     hstack,
-    invert,
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
-    pivot_columns,
     preimage,
     pushforward,
+    rref,
     solve_right,
-    vstack,
 )
 from .base import MatrixBackend
 
@@ -38,23 +37,30 @@ def _random_matrix(rng, rows: int, cols: int) -> RatMatrix:
     return RatMatrix(rows, cols, [rng.randint(-3, 3) for _ in range(rows * cols)])
 
 
-def _adapted_columns(dim: int, layers: tuple[Subspace, ...]) -> tuple[RatMatrix, list[int]]:
-    """An invertible matrix whose leading columns run up the chain.
+def _adapted_columns(dim: int, layers: tuple[Subspace, ...]
+                     ) -> tuple[RatMatrix, RatMatrix, list[int]]:
+    """An invertible matrix whose leading columns run up the chain, and its inverse.
 
-    Returns (p, block) where column j of p belongs to layer block[j]
-    (len(layers) meaning "outside every layer"); the columns of each
-    initial segment span the corresponding layer.  The columns of p are
-    the pivot columns of [layer bases... | I]: each candidate not in the
-    span of those before it.
+    Returns (p, p_inv, block) where column j of p belongs to layer
+    block[j] (len(layers) meaning "outside every layer"); the columns of
+    each initial segment span the corresponding layer.  The columns of p
+    are the pivot columns of S = [layer bases... | I]: each candidate not
+    in the span of those before it.  rref(S) = E S with E p = I, since
+    the pivot columns of an rref are the unit vectors in order, so its
+    identity block E is p's inverse.
     """
     blocks = [s.basis for s in layers] + [RatMatrix.identity(dim)]
     owner = [i for i, b in enumerate(blocks) for _ in range(b.cols)]
     stacked = hstack(*blocks)
-    pivots = pivot_columns(stacked)
-    n, num = stacked.cols, stacked._num
-    p = RatMatrix._of(dim, len(pivots), [num[i * n + j] for i in range(dim) for j in pivots],
+    r = rref(stacked)
+    n, num, rnum = stacked.cols, stacked._num, r._num
+    # S has full row rank, so every row of r holds a pivot
+    pivots = [next(j for j in range(n) if rnum[i * n + j]) for i in range(dim)]
+    p = RatMatrix._of(dim, dim, [num[i * n + j] for i in range(dim) for j in pivots],
                       stacked._den)
-    return p, [owner[j] for j in pivots]
+    p_inv = RatMatrix._of(dim, dim, [x for i in range(dim)
+                                     for x in rnum[(i + 1) * n - dim : (i + 1) * n]], r._den)
+    return p, p_inv, [owner[j] for j in pivots]
 
 
 class FlagBackend(MatrixBackend):
@@ -97,13 +103,9 @@ class FlagBackend(MatrixBackend):
     def direct_sum_payload(self, a_payload, b_payload):
         n, xs = a_payload
         m, ys = b_payload
-        layers = []
-        for x, y in zip(xs, ys):
-            padded = vert_shift(x.basis, 0, m)
-            shifted = vert_shift(y.basis, n, 0)
-            # block-diagonal of two canonical bases: already canonical
-            layers.append(Subspace._canonical(n + m, hstack(padded, shifted)))
-        return (n + m, tuple(layers))
+        # the block-diagonal of two canonical bases is already canonical
+        return (n + m, tuple(Subspace._canonical(n + m, block_diagonal(x.basis, y.basis))
+                             for x, y in zip(xs, ys)))
 
     def drop_coordinate(self, payload, j: int):
         n, layers = payload
@@ -163,18 +165,18 @@ class FlagBackend(MatrixBackend):
             return Morphism(self, a, b, cand)
         n, xs = a.payload
         m, ys = b.payload
-        p, block = _adapted_columns(n, xs)
+        _, p_inv, block = _adapted_columns(n, xs)
         cols = [RatMatrix.zeros(m, 0)]
         for j in range(n):
             i = block[j]
             target = ys[i].basis if i < len(ys) else RatMatrix.identity(m)
             cols.append(target @ _random_matrix(rng, target.cols, 1))
         img = hstack(*cols)
-        return Morphism(self, a, b, img @ invert(p))
+        return Morphism(self, a, b, img @ p_inv)
 
     def random_iso(self, rng, a: CatObject) -> Morphism:
         n, xs = a.payload
-        p, _ = _adapted_columns(n, xs)
+        p, p_inv, _ = _adapted_columns(n, xs)
         # upper triangular with invertible diagonal fixes every initial
         # span of adapted columns, hence every marked layer
         t = [[0] * n for _ in range(n)]
@@ -183,7 +185,7 @@ class FlagBackend(MatrixBackend):
             for j in range(i + 1, n):
                 t[i][j] = rng.randint(-2, 2)
         tm = RatMatrix(n, n, [x for row in t for x in row])
-        return Morphism(self, a, a, p @ tm @ invert(p))
+        return Morphism(self, a, a, p @ tm @ p_inv)
 
     # -- serialization ------------------------------------------------------------
     def object_to_json(self, a: CatObject) -> dict:
@@ -229,5 +231,6 @@ class FlagBackend(MatrixBackend):
 
 def vert_shift(basis: RatMatrix, above: int, below: int) -> RatMatrix:
     """Pad basis columns with zero rows above and below."""
-    return vstack(RatMatrix.zeros(above, basis.cols), basis,
-                  RatMatrix.zeros(below, basis.cols))
+    k = basis.cols
+    return RatMatrix._of(above + basis.rows + below, k,
+                         [0] * (above * k) + list(basis._num) + [0] * (below * k), basis._den)

@@ -23,7 +23,7 @@ import sys
 from .audit import AuditConfig, run_audit
 from .backends import get_backend
 from .conditions import CHECKS, instance_from_json, run_check
-from .core import classify, decompose
+from .core import decompose
 from .report import ReportDocument, emit_report
 
 
@@ -105,7 +105,7 @@ def cmd_decompose(args) -> int:
         cat = get_backend(name)
         f = cat.morphism_from_json(blob)
         d = decompose(f)
-        flags = classify(f)
+        flags = d.flags()
     except ValueError as e:
         print(f"preab decompose: {e}", file=sys.stderr)
         return 1

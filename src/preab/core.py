@@ -4,7 +4,10 @@ A :class:`Category` supplies composition, the additive structure,
 biproducts, and kernel/cokernel constructors; everything else here is
 generic: canonical decompositions, morphism classification, pushouts
 and pullbacks via biproducts, induced maps between kernels and
-cokernels, and the opposite category.
+cokernels, and the opposite category.  Pushouts, pullbacks and their
+mediators use a :class:`Biproduct` only through its maps ``pair``,
+``copair``, ``split_out`` and ``split_in``, never by composing with
+its injections and projections.
 
 Comparisons between kernels (or cokernels, images, ...) are never done
 on raw representatives; two monomorphisms present the same subobject
@@ -15,6 +18,7 @@ is an isomorphism.  See :func:`subobject_iso` and :func:`quotient_iso`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional
 
 
@@ -111,13 +115,69 @@ class Cone:
         return c.divide_right(self.leg, x)
 
 
-@dataclass
 class Biproduct:
+    """A biproduct A (+) B, the object ``ob``, with its structural maps.
+
+    Every construction here goes through four maps, which a category
+    defines without composing through the injections and projections:
+
+    - ``pair(f, g)``, for f: X -> A and g: X -> B, is the map
+      X -> A (+) B equal to inj1 @ f + inj2 @ g;
+    - ``copair(f, g)``, for f: A -> X and g: B -> X, is the map
+      A (+) B -> X equal to f @ proj1 + g @ proj2;
+    - ``split_out(h)``, for h out of A (+) B, is (h @ inj1, h @ inj2);
+    - ``split_in(h)``, for h into A (+) B, is (proj1 @ h, proj2 @ h).
+
+    Each raises ValueError when a leg does not fit.  The injections
+    ``inj1``, ``inj2`` and projections ``proj1``, ``proj2`` are built
+    only when a caller reads them.
+    """
+
     ob: CatObject
-    inj1: Morphism
-    inj2: Morphism
-    proj1: Morphism
-    proj2: Morphism
+
+
+class _OppositeBiproduct(Biproduct):
+    """A biproduct of an opposite category: each map is the base
+    biproduct's dual map (pair and copair trade places, as do split_out
+    and split_in, and injections and projections)."""
+
+    def __init__(self, op: "Opposite", base: Biproduct):
+        self._op, self._base = op, base
+        self.ob = op._obj(base.ob)
+
+    def pair(self, f: Morphism, g: Morphism) -> Morphism:
+        op = self._op
+        return op.wrap(self._base.copair(op.unwrap(f), op.unwrap(g)))
+
+    def copair(self, f: Morphism, g: Morphism) -> Morphism:
+        op = self._op
+        return op.wrap(self._base.pair(op.unwrap(f), op.unwrap(g)))
+
+    def split_out(self, h: Morphism) -> tuple[Morphism, Morphism]:
+        op = self._op
+        u, v = self._base.split_in(op.unwrap(h))
+        return op.wrap(u), op.wrap(v)
+
+    def split_in(self, h: Morphism) -> tuple[Morphism, Morphism]:
+        op = self._op
+        u, v = self._base.split_out(op.unwrap(h))
+        return op.wrap(u), op.wrap(v)
+
+    @cached_property
+    def inj1(self) -> Morphism:
+        return self._op.wrap(self._base.proj1)
+
+    @cached_property
+    def inj2(self) -> Morphism:
+        return self._op.wrap(self._base.proj2)
+
+    @cached_property
+    def proj1(self) -> Morphism:
+        return self._op.wrap(self._base.inj1)
+
+    @cached_property
+    def proj2(self) -> Morphism:
+        return self._op.wrap(self._base.inj2)
 
 
 @dataclass(frozen=True)
@@ -164,6 +224,31 @@ class Decomposition:
     def recompose(self) -> Morphism:
         return self.im @ self.fbar @ self.coim
 
+    def flags(self) -> MorphismClass:
+        """Mono/epi/iso/strict flags of f plus the derived kernel/cokernel tests.
+
+        Mono, epi and strict are read off this decomposition, and the
+        other four flags follow from them.  A morphism is a kernel iff it
+        is mono and strict, and a cokernel iff it is epi and strict, so no
+        search over candidate morphisms is needed.  It is an iso iff it is
+        mono, epi and strict: when f is mono its coimage leg is an iso,
+        when f is epi its image leg is, and then f = im @ fbar @ coim is
+        an iso exactly when fbar is.
+        """
+        c = self.fbar.category
+        mono = c.is_zero_object(self.kernel.apex)
+        epi = c.is_zero_object(self.cokernel.apex)
+        strict = c.is_iso(self.fbar)
+        return MorphismClass(
+            mono=mono,
+            epi=epi,
+            bimorphism=mono and epi,
+            iso=mono and epi and strict,
+            strict=strict,
+            is_kernel=mono and strict,
+            is_cokernel=epi and strict,
+        )
+
 
 @dataclass(frozen=True)
 class Square:
@@ -205,7 +290,9 @@ class Category:
     backend, and :class:`Opposite`, defines ``zero_object``,
     ``is_zero_object``, ``identity``, ``zero_morphism``,
     ``is_zero_morphism``, ``compose(g, f)`` (``g @ f``), ``add``,
-    ``negate``, ``biproduct`` (a :class:`Biproduct`), ``kernel`` and
+    ``negate``, ``biproduct(a, b)`` (a :class:`Biproduct` with the maps
+    ``pair``, ``copair``, ``split_out`` and ``split_in``, and the
+    injections and projections), ``kernel`` and
     ``cokernel`` (each a :class:`Cone`), ``is_iso``, the generators
     ``random_object(rng, dim_bound)``, ``random_morphism(rng, a, b)`` and
     ``random_iso(rng, a)``, and the JSON pairs ``object_to_json`` /
@@ -298,15 +385,7 @@ class Opposite(Category):
         return self.wrap(self.base.negate(self.unwrap(f)))
 
     def biproduct(self, a, b):
-        bp = self.base.biproduct(self._base_obj(a), self._base_obj(b))
-        # injections and projections trade places in the dual
-        return Biproduct(
-            ob=self._obj(bp.ob),
-            inj1=self.wrap(bp.proj1),
-            inj2=self.wrap(bp.proj2),
-            proj1=self.wrap(bp.inj1),
-            proj2=self.wrap(bp.inj2),
-        )
+        return _OppositeBiproduct(self, self.base.biproduct(self._base_obj(a), self._base_obj(b)))
 
     # limits
     def _dual_cone(self, cone: Cone, of: Morphism, kind: str) -> Cone:
@@ -416,30 +495,8 @@ def decompose(f: Morphism) -> Decomposition:
 
 
 def classify(f: Morphism) -> MorphismClass:
-    """Mono/epi/iso/strict flags plus the derived kernel/cokernel tests.
-
-    Mono, epi and strict are read off one decomposition of f, and the
-    other four flags follow from them.  A morphism is a kernel iff it is
-    mono and strict, and a cokernel iff it is epi and strict, so no
-    search over candidate morphisms is needed.  It is an iso iff it is
-    mono, epi and strict: when f is mono its coimage leg is an iso, when
-    f is epi its image leg is, and then f = im @ fbar @ coim is an iso
-    exactly when fbar is.
-    """
-    c = f.category
-    d = decompose(f)
-    mono = c.is_zero_object(d.kernel.apex)
-    epi = c.is_zero_object(d.cokernel.apex)
-    strict = c.is_iso(d.fbar)
-    return MorphismClass(
-        mono=mono,
-        epi=epi,
-        bimorphism=mono and epi,
-        iso=mono and epi and strict,
-        strict=strict,
-        is_kernel=mono and strict,
-        is_cokernel=epi and strict,
-    )
+    """The flags of f, read off one decomposition (:meth:`Decomposition.flags`)."""
+    return decompose(f).flags()
 
 
 def _pushout_data(alpha: Morphism, g: Morphism):
@@ -453,15 +510,9 @@ def _pushout_data(alpha: Morphism, g: Morphism):
         raise ValueError("span legs must share their domain")
     c = alpha.category
     bp = c.biproduct(alpha.cod, g.cod)
-    col = c.add(c.compose(bp.inj1, alpha), c.negate(c.compose(bp.inj2, g)))
-    cone = c.cokernel(col)
-    sq = Square(
-        top=g,
-        left=alpha,
-        bottom=c.compose(cone.leg, bp.inj1),
-        right=c.compose(cone.leg, bp.inj2),
-        provenance="pushout",
-    )
+    cone = c.cokernel(bp.pair(alpha, c.negate(g)))
+    bottom, right = bp.split_out(cone.leg)
+    sq = Square(top=g, left=alpha, bottom=bottom, right=right, provenance="pushout")
     return sq, cone, bp
 
 
@@ -471,15 +522,9 @@ def _pullback_data(f: Morphism, t: Morphism):
         raise ValueError("cospan legs must share their codomain")
     c = f.category
     bp = c.biproduct(f.dom, t.dom)
-    row = c.add(c.compose(f, bp.proj1), c.negate(c.compose(t, bp.proj2)))
-    cone = c.kernel(row)
-    sq = Square(
-        top=c.compose(bp.proj2, cone.leg),
-        left=c.compose(bp.proj1, cone.leg),
-        bottom=f,
-        right=t,
-        provenance="pullback",
-    )
+    cone = c.kernel(bp.copair(f, c.negate(t)))
+    left, top = bp.split_in(cone.leg)
+    sq = Square(top=top, left=left, bottom=f, right=t, provenance="pullback")
     return sq, cone, bp
 
 
@@ -493,18 +538,14 @@ def pullback(f: Morphism, t: Morphism) -> Square:
 
 def pullback_mediator(sq: Square) -> Optional[Morphism]:
     """The comparison from sq's apex into the canonical pullback of its cospan."""
-    c = sq.top.category
     _, cone, bp = _pullback_data(sq.bottom, sq.right)
-    pair = c.add(c.compose(bp.inj1, sq.left), c.compose(bp.inj2, sq.top))
-    return cone.factor(pair)
+    return cone.factor(bp.pair(sq.left, sq.top))
 
 
 def pushout_mediator(sq: Square) -> Optional[Morphism]:
     """The comparison from the canonical pushout of sq's span to its corner."""
-    c = sq.top.category
     _, cone, bp = _pushout_data(sq.left, sq.top)
-    pair = c.add(c.compose(sq.bottom, bp.proj1), c.compose(sq.right, bp.proj2))
-    return cone.factor(pair)
+    return cone.factor(bp.copair(sq.bottom, sq.right))
 
 
 def is_pullback(sq: Square) -> bool:

@@ -224,6 +224,21 @@ class RatMatrix:
         num = [x for k, x in enumerate(self._num) if k % n != j]
         return RatMatrix._of(self.rows, n - 1, num, self._den)
 
+    def split_rows(self, k: int) -> tuple["RatMatrix", "RatMatrix"]:
+        """The first ``k`` rows and the rest, as two matrices."""
+        n, cut = self.cols, k * self.cols
+        return (RatMatrix._of(k, n, self._num[:cut], self._den),
+                RatMatrix._of(self.rows - k, n, self._num[cut:], self._den))
+
+    def split_columns(self, k: int) -> tuple["RatMatrix", "RatMatrix"]:
+        """The first ``k`` columns and the rest, as two matrices."""
+        n, num = self.cols, self._num
+        starts = range(0, self.rows * n, n) if n else ()
+        left = [x for i in starts for x in num[i : i + k]]
+        right = [x for i in starts for x in num[i + k : i + n]]
+        return (RatMatrix._of(self.rows, k, left, self._den),
+                RatMatrix._of(self.rows, n - k, right, self._den))
+
     def with_entry(self, i: int, j: int, value) -> "RatMatrix":
         value = frac(value)
         d = lcm(self._den, value.denominator)
@@ -269,6 +284,22 @@ def vstack(*mats: RatMatrix) -> RatMatrix:
     for m in mats:
         num.extend(_numerators_over(m, d))
     return RatMatrix._of(sum(m.rows for m in mats), cols, num, d)
+
+
+def block_diagonal(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """The matrix [[a, 0], [0, b]]."""
+    d = _common_den((a, b))
+    p, q = a.cols, b.cols
+    na, nb = _numerators_over(a, d), _numerators_over(b, d)
+    after, before = [0] * q, [0] * p
+    num = []
+    for i in range(a.rows):
+        num.extend(na[i * p : (i + 1) * p])
+        num.extend(after)
+    for i in range(b.rows):
+        num.extend(before)
+        num.extend(nb[i * q : (i + 1) * q])
+    return RatMatrix._of(a.rows + b.rows, p + q, num, d)
 
 
 def _common_den(mats: Sequence[RatMatrix]) -> int:
@@ -360,13 +391,8 @@ def rref(m: RatMatrix) -> RatMatrix:
     return _rref_pivots(m)[0]
 
 
-def pivot_columns(m: RatMatrix) -> tuple[int, ...]:
-    """Indices of the columns of ``m`` not in the span of the columns before them."""
-    return _rref_pivots(m)[1]
-
-
 def rank(m: RatMatrix) -> int:
-    return len(pivot_columns(m))
+    return len(_rref_pivots(m)[1])
 
 
 def column_echelon_basis(m: RatMatrix) -> RatMatrix:

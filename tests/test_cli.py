@@ -292,6 +292,24 @@ class TestDecomposeCommand:
                                  "is_kernel": False, "is_cokernel": False}
         assert out == json.dumps(blob, sort_keys=True, indent=2) + "\n"
 
+    def test_decomposes_once(self, monkeypatch, capsys):
+        import preab.core as core_module
+
+        calls = []
+        real = core_module.decompose
+
+        def counted(f):
+            calls.append(f)
+            return real(f)
+
+        # the command's own binding and the one classify looks up
+        monkeypatch.setattr(core_module, "decompose", counted)
+        monkeypatch.setattr(cli_module, "decompose", counted)
+        code, out, _ = run_main(["decompose"], stdin_text=json.dumps(LATZ_DOUBLING),
+                                monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0 and json.loads(out)["flags"]["bimorphism"]
+        assert len(calls) == 1
+
     def test_morphism_from_file(self, tmp_path, capsys):
         path = write_json(tmp_path, "f.json", LATZ_DOUBLING)
         code = main(["decompose", "--morphism", path])

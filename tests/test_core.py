@@ -58,19 +58,85 @@ def rand_pair(cat, rng, bound=3):
 
 @pytest.mark.parametrize("name", ALL)
 def test_biproduct_laws(name):
-    cat = BACKENDS[name]
-    rng = random.Random(f"biprod:{name}")
-    for _ in range(20):
-        a = cat.random_object(rng, 3)
-        b = cat.random_object(rng, 3)
-        bp = cat.biproduct(a, b)
-        ida = cat.identity(a)
-        idb = cat.identity(b)
-        assert bp.proj1 @ bp.inj1 == ida
-        assert bp.proj2 @ bp.inj2 == idb
-        assert cat.is_zero_morphism(bp.proj1 @ bp.inj2)
-        assert cat.is_zero_morphism(bp.proj2 @ bp.inj1)
-        assert bp.inj1 @ bp.proj1 + bp.inj2 @ bp.proj2 == cat.identity(bp.ob)
+    """The injection/projection laws, and each structural map against
+    its composite formula through the injections and projections, in
+    the base category and its opposite."""
+    mismatches = 0
+    for cat in (BACKENDS[name], BACKENDS[name].opposite()):
+        other = opposite(cat)
+        rng = random.Random(f"biprod:{cat.name}")
+        for _ in range(20):
+            a = cat.random_object(rng, 3)
+            b = cat.random_object(rng, 3)
+            x = cat.random_object(rng, 3)
+            bp = cat.biproduct(a, b)
+            ida = cat.identity(a)
+            idb = cat.identity(b)
+            assert bp.proj1 @ bp.inj1 == ida
+            assert bp.proj2 @ bp.inj2 == idb
+            assert cat.is_zero_morphism(bp.proj1 @ bp.inj2)
+            assert cat.is_zero_morphism(bp.proj2 @ bp.inj1)
+            assert bp.inj1 @ bp.proj1 + bp.inj2 @ bp.proj2 == cat.identity(bp.ob)
+
+            f, g = cat.random_morphism(rng, x, a), cat.random_morphism(rng, x, b)
+            assert bp.pair(f, g) == bp.inj1 @ f + bp.inj2 @ g
+            assert bp.split_in(bp.pair(f, g)) == (f, g)
+            f, g = cat.random_morphism(rng, a, x), cat.random_morphism(rng, b, x)
+            assert bp.copair(f, g) == f @ bp.proj1 + g @ bp.proj2
+            assert bp.split_out(bp.copair(f, g)) == (f, g)
+            h = cat.random_morphism(rng, x, bp.ob)
+            assert bp.split_in(h) == (bp.proj1 @ h, bp.proj2 @ h)
+            h = cat.random_morphism(rng, bp.ob, x)
+            assert bp.split_out(h) == (h @ bp.inj1, h @ bp.inj2)
+
+            # legs that do not fit: another category, swapped summands,
+            # a morphism that does not touch the biproduct
+            foreign = other.identity(CatObject(other, a.payload))
+            for call in (lambda: bp.pair(foreign, foreign),
+                         lambda: bp.copair(foreign, foreign),
+                         lambda: bp.split_out(foreign), lambda: bp.split_in(foreign)):
+                with pytest.raises(ValueError):
+                    call()
+            if a != b:
+                mismatches += 1
+                with pytest.raises(ValueError):
+                    bp.copair(g, f)
+                with pytest.raises(ValueError):
+                    bp.pair(cat.identity(b), cat.zero_morphism(b, b))
+            if x != bp.ob:
+                with pytest.raises(ValueError):
+                    bp.split_out(cat.identity(x))
+                with pytest.raises(ValueError):
+                    bp.split_in(cat.identity(x))
+    assert mismatches
+
+
+def test_squares_build_no_injection_blocks(monkeypatch):
+    """Pushouts, pullbacks, their mediators and the generators that split
+    through a biproduct use its structural maps, never the 0/1 matrices
+    of its injections and projections, in either category."""
+    from preab.audit import generate_instance
+    from preab.backends import base
+
+    calls = []
+    real = base._unit_block
+    monkeypatch.setattr(base, "_unit_block", lambda *args: calls.append(args) or real(*args))
+    for name in ALL:
+        for cat in (BACKENDS[name], BACKENDS[name].opposite()):
+            rng = random.Random(f"no unit blocks:{cat.name}")
+            for _ in range(10):
+                f = rand_pair(cat, rng)
+                alpha = cat.random_morphism(rng, f.dom, cat.random_object(rng, 3))
+                t = cat.random_morphism(rng, cat.random_object(rng, 3), f.cod)
+                pushout_mediator(pushout(alpha, f))
+                pullback_mediator(pullback(f, t))
+        for cond in ("right.ii", "right.vii", "left.ii", "left.vii"):
+            for i in range(5):
+                generate_instance(name, cond, 3, f"no unit blocks:{i}")
+    assert calls == []
+    # the pin can see a block being built
+    _ = VECTQ.biproduct(VECTQ.obj(1), VECTQ.obj(2)).inj1
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from preab.linalg import (
     MAX_DIM,
     RatMatrix,
     Subspace,
+    block_diagonal,
     column_echelon_basis,
     complement_rows,
     hstack,
@@ -409,6 +410,20 @@ def matrices(draw, max_dim=4):
     cols = draw(st.integers(min_value=0, max_value=max_dim))
     data = draw(st.lists(small_entries, min_size=rows * cols, max_size=rows * cols))
     return RatMatrix(rows, cols, (Fraction(x) for x in data))
+
+
+@given(matrices(), matrices(), st.integers(min_value=0, max_value=4),
+       st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(-3, 4)]))
+@settings(max_examples=60, deadline=None)
+def test_block_diagonal_and_splits_match_the_stacks(a, b, k, c):
+    a, b = a.scale(c), b.scale(2)
+    assert block_diagonal(a, b) == block_diag(a, b)
+    top, bottom = a.split_rows(min(k, a.rows))
+    assert (top.rows, bottom.cols) == (min(k, a.rows), a.cols)
+    assert vstack(top, bottom) == a
+    left, right = a.split_columns(min(k, a.cols))
+    assert (left.rows, left.cols) == (a.rows, min(k, a.cols))
+    assert hstack(left, right) == a
 
 
 @given(matrices())
