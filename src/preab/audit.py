@@ -6,10 +6,10 @@ for the full two-sided catalog (built non-vacuous by construction), and
 semi-stability probes of constructed kernels and cokernels.  Each
 condition sample is checked once: generation checks every attempt to
 reject vacuous ones, and its first non-vacuous result is what gets
-tallied.  The tallies
-feed a documented decision table that places the backend in a hierarchy
-of consistency verdicts; every failing check is shrunk to a small
-replayable witness.
+tallied.  The tallies feed a documented decision table that places the
+backend in a hierarchy of consistency verdicts; every failing check is
+shrunk to a small replayable witness.  Shrinking edits an instance
+through the generating edges it states (see conditions), whatever its kind.
 
 Passing verdicts are sampling claims ("no counterexample found"), never
 proofs; a recorded failure is a hard fact, witnessed by its instance.
@@ -32,7 +32,7 @@ many samples, otherwise the audit is inconclusive.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .backends import get_backend
 from .conditions import (
@@ -44,14 +44,13 @@ from .conditions import (
     ConditionId,
     MorphismInstance,
     PairInstance,
-    ProbeInstance,
     SquareInstance,
     check_condition,
     classify,
     probe_semistable,
     run_check,
 )
-from .core import Category, ConstraintViolation, Square, cokernel, kernel, pullback, pushout
+from .core import Category, ConstraintViolation, cokernel, kernel, pushout
 from .linalg import RatMatrix
 
 CONDITION_NAMES = tuple(str(c) for c in ALL_CONDITIONS)
@@ -101,6 +100,8 @@ class AuditConfig:
 
     def __post_init__(self):
         get_backend(self.backend)
+        if not isinstance(self.seed, str):
+            raise ValueError("seed must be a string (a JSON config may give an integer)")
         _positive_int(self.dim_bound, "dim_bound", 1)
         if self.dim_bound > MAX_DIM_BOUND:
             raise ValueError(f"dim_bound {self.dim_bound} is above the limit of {MAX_DIM_BOUND}")
@@ -129,15 +130,14 @@ class AuditConfig:
     def from_json(cls, blob: dict) -> "AuditConfig":
         if not isinstance(blob, dict):
             raise ValueError("config must be a JSON object")
-        known = {"backend", "seed", "dim_bound", "samples", "min_nonvacuous",
-                 "shrink_budget", "probe_steps"}
+        known = {f.name for f in fields(cls)}
         for key in blob:
             if key not in known:
                 raise ValueError(f"unknown config key: {key!r}")
         if "backend" not in blob:
             raise ValueError("config needs a backend")
         kwargs = dict(blob)
-        if "seed" in kwargs:
+        if type(kwargs.get("seed")) is int:
             kwargs["seed"] = str(kwargs["seed"])
         return cls(**kwargs)
 
@@ -212,7 +212,7 @@ def generate_instance(backend: str, cond, dim_bound: int, seed) -> CheckResult:
     reseeded attempts when a construction degenerates into a vacuous
     instance; raises GenerationExhausted when they all do.
     """
-    cond = ConditionId.parse(cond) if isinstance(cond, str) else cond
+    cond = ConditionId.parse(cond)
     base = get_backend(backend)
     cat = base if cond.side == "right" else base.opposite()
     mirror = ConditionId("right", cond.index)
@@ -232,55 +232,23 @@ def generate_instance(backend: str, cond, dim_bound: int, seed) -> CheckResult:
 # shrinking
 
 
+def _objects(edges: dict) -> list:
+    """An instance's distinct objects by slot, each read off the first edge touching it."""
+    objects = {}
+    for f, dom, cod in edges.values():
+        objects.setdefault(dom, f.dom)
+        objects.setdefault(cod, f.cod)
+    return [objects[i] for i in range(len(objects))]
+
+
 def instance_size(inst) -> int:
     """Total ambient dimension across the instance's distinct objects."""
     cat = inst.category
-    return sum(cat.ambient_dim(a.payload) for a in _shape(inst)[0])
-
-
-def _shape(inst):
-    """Instance shape: (objects, edges, make).
-
-    objects lists the distinct objects; edges maps each edge name to
-    (morphism, dom index, cod index) into objects; make turns a dict of
-    edge morphisms back into an instance of the same kind.
-    """
-    if isinstance(inst, MorphismInstance):
-        f = inst.f
-        return [f.dom, f.cod], {"f": (f, 0, 1)}, lambda e: MorphismInstance(**e)
-    if isinstance(inst, PairInstance):
-        inner, outer = inst.inner, inst.outer
-        return ([inner.dom, inner.cod, outer.cod],
-                {"inner": (inner, 0, 1), "outer": (outer, 1, 2)},
-                lambda e: PairInstance(**e))
-    if isinstance(inst, SquareInstance):
-        sq = inst.square
-        if sq.provenance == "pushout":
-            return ([sq.left.dom, sq.left.cod, sq.top.cod],
-                    {"left": (sq.left, 0, 1), "top": (sq.top, 0, 2)},
-                    lambda e: SquareInstance(pushout(e["left"], e["top"])))
-        if sq.provenance == "pullback":
-            return ([sq.bottom.dom, sq.right.dom, sq.bottom.cod],
-                    {"bottom": (sq.bottom, 0, 2), "right": (sq.right, 1, 2)},
-                    lambda e: SquareInstance(pullback(e["bottom"], e["right"])))
-        # hand-built commuting square: all four corners and edges
-        return ([sq.top.dom, sq.left.cod, sq.top.cod, sq.bottom.cod],
-                {"top": (sq.top, 0, 2), "left": (sq.left, 0, 1),
-                 "bottom": (sq.bottom, 1, 3), "right": (sq.right, 2, 3)},
-                lambda e: SquareInstance(Square(**e)))
-    if isinstance(inst, ProbeInstance):
-        f, along, role = inst.f, inst.along, inst.role
-        if role == "kernel":
-            objects, ends = [f.dom, f.cod, along.cod], (0, 2)
-        else:
-            objects, ends = [f.dom, f.cod, along.dom], (2, 1)
-        return (objects, {"f": (f, 0, 1), "along": (along, *ends)},
-                lambda e: ProbeInstance(role=role, **e))
-    raise ValueError(f"cannot shrink instance of type {type(inst).__name__}")
+    return sum(cat.ambient_dim(a.payload) for a in _objects(inst.edges()))
 
 
 def _plan(inst):
-    """Shrink plan: (payloads, matrices, sites, rebuild), all read off _shape.
+    """Shrink plan: (payloads, matrices, sites, rebuild), all read off inst.edges().
 
     payloads lists the distinct objects, matrices the raw edge matrices.
     Each site is (payload index, {matrix name: axis}) tying one deletable
@@ -289,12 +257,12 @@ def _plan(inst):
     and matrices back into an instance, raising on anything invalid.
     """
     cat = inst.category
-    objects, edges, make = _shape(inst)
-    payloads = [a.payload for a in objects]
+    edges = inst.edges()
+    payloads = [a.payload for a in _objects(edges)]
     mats = {name: f.payload for name, (f, _, _) in edges.items()}
     sites = [(i, {name: "col" if dom == i else "row"
                   for name, (_, dom, cod) in edges.items() if i in (dom, cod)})
-             for i in range(len(objects))]
+             for i in range(len(payloads))]
 
     def rebuild(ps, ms):
         built = {}
@@ -303,7 +271,7 @@ def _plan(inst):
             if f is None:
                 raise ConstraintViolation("edited matrix violates structure")
             built[name] = f
-        return make(built)
+        return inst.with_edges(built)
 
     return payloads, mats, sites, rebuild
 
@@ -531,10 +499,8 @@ def decide_verdict(cfg: AuditConfig, tallies, strict_tally, probe_tally) -> str:
     """Apply the decision table documented in the module docstring."""
     if not _coverage_ok(cfg, tallies, strict_tally):
         return "inconclusive"
-    right_fail = any(tallies[f"right.{c.index}"]["fail"] for c in ALL_CONDITIONS
-                     if c.side == "right")
-    left_fail = any(tallies[f"left.{c.index}"]["fail"] for c in ALL_CONDITIONS
-                    if c.side == "left")
+    right_fail = any(tallies[n]["fail"] for n in CONDITION_NAMES if n.startswith("right."))
+    left_fail = any(tallies[n]["fail"] for n in CONDITION_NAMES if n.startswith("left."))
     if right_fail and left_fail:
         return "preabelian-only"
     if right_fail:

@@ -8,67 +8,41 @@ biproducts, division, iso testing and the cone plumbing are generic.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional
 
 from ..core import Biproduct, CatObject, Category, Cone, ConstraintViolation, Morphism
 from ..linalg import RatMatrix, hstack, invert, solve_right, vstack
 
 
-def _unit_block(rows: int, cols: int, shift: int) -> RatMatrix:
-    """The 0/1 matrix with a 1 at (i, j) exactly when j - i == shift."""
-    return RatMatrix._of(rows, cols, [int(j - i == shift) for i in range(rows) for j in range(cols)])
-
-
 class _MatrixBiproduct(Biproduct):
     """A (+) B with A's ``n`` ambient coordinates first (see MatrixBackend)."""
 
     def __init__(self, cat: "MatrixBackend", a: CatObject, b: CatObject):
-        self._cat, self._a, self._b = cat, a, b
-        self._n, self._m = cat.ambient_dim(a.payload), cat.ambient_dim(b.payload)
+        self.category, self.a, self.b = cat, a, b
+        self._n = cat.ambient_dim(a.payload)
         self.ob = CatObject(cat, cat.direct_sum_payload(a.payload, b.payload))
 
     def pair(self, f: Morphism, g: Morphism) -> Morphism:
-        if f.dom != g.dom or f.cod != self._a or g.cod != self._b:
+        if f.dom != g.dom or f.cod != self.a or g.cod != self.b:
             raise ValueError("pair legs must share a domain and land in the summands")
-        return Morphism(self._cat, f.dom, self.ob, vstack(f.payload, g.payload))
+        return Morphism(self.category, f.dom, self.ob, vstack(f.payload, g.payload))
 
     def copair(self, f: Morphism, g: Morphism) -> Morphism:
-        if f.cod != g.cod or f.dom != self._a or g.dom != self._b:
+        if f.cod != g.cod or f.dom != self.a or g.dom != self.b:
             raise ValueError("copair legs must start at the summands and share a codomain")
-        return Morphism(self._cat, self.ob, f.cod, hstack(f.payload, g.payload))
+        return Morphism(self.category, self.ob, f.cod, hstack(f.payload, g.payload))
 
     def split_out(self, h: Morphism) -> tuple[Morphism, Morphism]:
         if h.dom != self.ob:
             raise ValueError("split_out needs a morphism out of the biproduct")
         u, v = h.payload.split_columns(self._n)
-        return Morphism(self._cat, self._a, h.cod, u), Morphism(self._cat, self._b, h.cod, v)
+        return Morphism(self.category, self.a, h.cod, u), Morphism(self.category, self.b, h.cod, v)
 
     def split_in(self, h: Morphism) -> tuple[Morphism, Morphism]:
         if h.cod != self.ob:
             raise ValueError("split_in needs a morphism into the biproduct")
         u, v = h.payload.split_rows(self._n)
-        return Morphism(self._cat, h.dom, self._a, u), Morphism(self._cat, h.dom, self._b, v)
-
-    @cached_property
-    def inj1(self) -> Morphism:
-        n, m = self._n, self._m
-        return Morphism(self._cat, self._a, self.ob, _unit_block(n + m, n, 0))
-
-    @cached_property
-    def inj2(self) -> Morphism:
-        n, m = self._n, self._m
-        return Morphism(self._cat, self._b, self.ob, _unit_block(n + m, m, -n))
-
-    @cached_property
-    def proj1(self) -> Morphism:
-        n, m = self._n, self._m
-        return Morphism(self._cat, self.ob, self._a, _unit_block(n, n + m, 0))  # [I 0]
-
-    @cached_property
-    def proj2(self) -> Morphism:
-        n, m = self._n, self._m
-        return Morphism(self._cat, self.ob, self._b, _unit_block(m, n + m, n))  # [0 I]
+        return Morphism(self.category, h.dom, self.a, u), Morphism(self.category, h.dom, self.b, v)
 
 
 class MatrixBackend(Category):
@@ -88,7 +62,7 @@ class MatrixBackend(Category):
     A biproduct A (+) B puts A's coordinates first.  Its ``pair`` and
     ``copair`` stack the legs' matrices and its splits slice a matrix's
     rows or columns, with no product through a 0/1 matrix; the injections
-    and projections are built on demand, only when a caller reads them.
+    and projections are :class:`~preab.core.Biproduct`'s own.
 
     Zero morphisms and identities are answered from the universal
     property, with no elimination and no hook call: the kernel of

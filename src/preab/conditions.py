@@ -3,14 +3,17 @@
 The catalog has two sides of seven conditions each.  The right-side
 conditions say, in various ways, that kernels survive composition and
 pushouts; the left-side conditions are their mirror images for cokernels
-and pullbacks, and are evaluated by running the matching right-side
-checker in the opposite category.  Alongside the catalog there are
-unconditional checks on the middle arrow of the canonical decomposition,
-two composite-cone identities, an image-slide law and a sampling probe
-for semi-stability.
+and pullbacks.  Alongside the catalog there are unconditional checks on
+the middle arrow of the canonical decomposition, two composite-cone
+identities, an image-slide law and a sampling probe for semi-stability.
+Every named check is declared once, in one table with the instance kind
+it takes; each left-side check, and the image slide across cokernels, is
+its mirror check run in the opposite category.
 
 Checkers are pure.  Each returns a CheckResult whose instance payload
-serializes to JSON, so any failure can be replayed exactly.
+serializes to JSON, so any failure can be replayed.  Each instance kind
+states its generating edges once (``edges`` and ``with_edges``); its
+JSON and the audit's shrinker both read them.
 
 Right-side catalog (left side is the mirror statement):
 
@@ -103,6 +106,13 @@ def _mor_json(f: Morphism) -> dict:
     return f.category.morphism_to_json(f)
 
 
+def _instance_json(inst, **extra) -> dict:
+    """An instance as JSON: kind, backend, the extra keys, then its edges."""
+    blob = {"kind": inst.kind, "backend": _backend_name(inst.category), **extra}
+    blob.update((key, _mor_json(f)) for key, (f, _, _) in inst.edges().items())
+    return blob
+
+
 @dataclass(frozen=True)
 class MorphismInstance:
     """A single morphism."""
@@ -114,12 +124,17 @@ class MorphismInstance:
     def category(self):
         return self.f.category
 
+    def edges(self) -> dict:
+        return {"morphism": (self.f, 0, 1)}
+
+    def with_edges(self, morphisms: dict) -> "MorphismInstance":
+        return MorphismInstance(morphisms["morphism"])
+
     def dualize(self) -> "MorphismInstance":
         return MorphismInstance(dualize(self.f))
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "backend": _backend_name(self.category),
-                "morphism": _mor_json(self.f)}
+        return _instance_json(self)
 
 
 @dataclass(frozen=True)
@@ -144,12 +159,34 @@ class PairInstance:
     def composite(self) -> Morphism:
         return self.outer @ self.inner
 
+    def edges(self) -> dict:
+        return {"inner": (self.inner, 0, 1), "outer": (self.outer, 1, 2)}
+
+    def with_edges(self, morphisms: dict) -> "PairInstance":
+        return PairInstance(outer=morphisms["outer"], inner=morphisms["inner"])
+
     def dualize(self) -> "PairInstance":
         return PairInstance(outer=dualize(self.inner), inner=dualize(self.outer))
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "backend": _backend_name(self.category),
-                "outer": _mor_json(self.outer), "inner": _mor_json(self.inner)}
+        return _instance_json(self)
+
+
+# a square's generating edges by provenance: pushouts keep their span,
+# pullbacks their cospan, and a merely commutative square all four edges
+_SQUARE_EDGES = {
+    "pushout": (("left", 0, 1), ("top", 0, 2)),
+    "pullback": (("bottom", 0, 2), ("right", 1, 2)),
+    "commutative": (("top", 0, 2), ("left", 0, 1), ("bottom", 1, 3), ("right", 2, 3)),
+}
+
+
+def _build_square(provenance: str, morphisms: dict) -> Square:
+    if provenance == "pushout":
+        return pushout(morphisms["left"], morphisms["top"])
+    if provenance == "pullback":
+        return pullback(morphisms["bottom"], morphisms["right"])
+    return Square(**morphisms)
 
 
 @dataclass(frozen=True)
@@ -168,23 +205,19 @@ class SquareInstance:
     def category(self):
         return self.square.top.category
 
+    def edges(self) -> dict:
+        sq = self.square
+        return {key: (getattr(sq, key), dom, cod)
+                for key, dom, cod in _SQUARE_EDGES[sq.provenance]}
+
+    def with_edges(self, morphisms: dict) -> "SquareInstance":
+        return SquareInstance(_build_square(self.square.provenance, morphisms))
+
     def dualize(self) -> "SquareInstance":
         return SquareInstance(dualize_square(self.square))
 
     def to_json(self) -> dict:
-        sq = self.square
-        blob = {"kind": self.kind, "backend": _backend_name(self.category),
-                "provenance": sq.provenance}
-        if sq.provenance == "pushout":
-            blob["left"] = _mor_json(sq.left)
-            blob["top"] = _mor_json(sq.top)
-        elif sq.provenance == "pullback":
-            blob["bottom"] = _mor_json(sq.bottom)
-            blob["right"] = _mor_json(sq.right)
-        else:
-            for edge in ("top", "left", "bottom", "right"):
-                blob[edge] = _mor_json(getattr(sq, edge))
-        return blob
+        return _instance_json(self, provenance=self.square.provenance)
 
 
 @dataclass(frozen=True)
@@ -210,14 +243,19 @@ class ProbeInstance:
     def category(self):
         return self.f.category
 
+    def edges(self) -> dict:
+        along = (self.along, 0, 2) if self.role == "kernel" else (self.along, 2, 1)
+        return {"morphism": (self.f, 0, 1), "along": along}
+
+    def with_edges(self, morphisms: dict) -> "ProbeInstance":
+        return ProbeInstance(role=self.role, f=morphisms["morphism"], along=morphisms["along"])
+
     def dualize(self) -> "ProbeInstance":
         other = "cokernel" if self.role == "kernel" else "kernel"
         return ProbeInstance(role=other, f=dualize(self.f), along=dualize(self.along))
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "backend": _backend_name(self.category),
-                "role": self.role, "morphism": _mor_json(self.f),
-                "along": _mor_json(self.along)}
+        return _instance_json(self, role=self.role)
 
 
 Instance = Any  # MorphismInstance | PairInstance | SquareInstance | ProbeInstance
@@ -245,19 +283,11 @@ def instance_from_json(blob: dict) -> Instance:
                             inner=cat.morphism_from_json(_require(blob, "inner")))
     if kind == "square":
         provenance = _require(blob, "provenance")
-        if provenance == "pushout":
-            left = cat.morphism_from_json(_require(blob, "left"))
-            top = cat.morphism_from_json(_require(blob, "top"))
-            return SquareInstance(pushout(left, top))
-        if provenance == "pullback":
-            bottom = cat.morphism_from_json(_require(blob, "bottom"))
-            right = cat.morphism_from_json(_require(blob, "right"))
-            return SquareInstance(pullback(bottom, right))
-        if provenance == "commutative":
-            edges = {e: cat.morphism_from_json(_require(blob, e))
-                     for e in ("top", "left", "bottom", "right")}
-            return SquareInstance(Square(**edges))
-        raise ValueError(f"unknown square provenance: {provenance!r}")
+        if not isinstance(provenance, str) or provenance not in _SQUARE_EDGES:
+            raise ValueError(f"unknown square provenance: {provenance!r}")
+        return SquareInstance(_build_square(provenance, {
+            key: cat.morphism_from_json(_require(blob, key))
+            for key, _, _ in _SQUARE_EDGES[provenance]}))
     if kind == "probe":
         return ProbeInstance(role=_require(blob, "role"),
                              f=cat.morphism_from_json(_require(blob, "morphism")),
@@ -406,24 +436,6 @@ def check_right_vii(sq: Square) -> CheckResult:
 # dispatch and the left side
 
 
-def _expect(check: str, instance: Instance) -> None:
-    want = CHECK_KINDS[check]
-    got = getattr(instance, "kind", type(instance).__name__)
-    if got != want:
-        raise ValueError(f"{check} expects a {want} instance, got {got}")
-
-
-_RIGHT = {
-    "i": lambda inst: check_right_i(inst.f),
-    "ii": lambda inst: check_right_ii(inst.outer, inst.inner),
-    "iii": lambda inst: check_right_iii(inst.square),
-    "iv": lambda inst: check_right_iv(inst.square),
-    "v": lambda inst: check_right_v(inst.square),
-    "vi": lambda inst: check_right_vi(inst.outer, inst.inner),
-    "vii": lambda inst: check_right_vii(inst.square),
-}
-
-
 def check_left(cond, instance: Instance) -> CheckResult:
     """Evaluate a left-side condition on a base-side instance.
 
@@ -432,20 +444,12 @@ def check_left(cond, instance: Instance) -> CheckResult:
     returned result keeps the original instance so it serializes (and
     replays) on the base side.
     """
-    cond = ConditionId.parse(cond) if isinstance(cond, str) else cond
-    _expect(f"left.{cond.index}", instance)
-    mirrored = _RIGHT[cond.index](instance.dualize())
-    return CheckResult(f"left.{cond.index}", mirrored.verdict, instance,
-                       mirrored.witness)
+    return _run(f"left.{ConditionId.parse(cond).index}", instance)
 
 
 def check_condition(cond, instance: Instance) -> CheckResult:
     """Evaluate any catalog condition ("right.iii", ConditionId, ...)."""
-    cond = ConditionId.parse(cond) if isinstance(cond, str) else cond
-    if cond.side == "left":
-        return check_left(cond, instance)
-    _expect(str(cond), instance)
-    return _RIGHT[cond.index](instance)
+    return _run(str(ConditionId.parse(cond)), instance)
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +508,17 @@ def check_image_slide(f: Morphism, g: Morphism, side: str) -> CheckResult:
     across an inner cokernel) by transport to the opposite category, and
     is vacuous unless f is a cokernel.
     """
-    if side == "cokernels":
-        mirrored = check_image_slide(dualize(g), dualize(f), "kernels")
-        inst = PairInstance(outer=g, inner=f)
-        return CheckResult("image_slide.cokernels", mirrored.verdict, inst,
-                           mirrored.witness)
-    if side != "kernels":
+    if side not in ("kernels", "cokernels"):
         raise ValueError(f"unknown image-slide side: {side!r}")
-    inst = PairInstance(outer=g, inner=f)
-    if not classify(g).is_kernel:
+    return _run(f"image_slide.{side}", PairInstance(outer=g, inner=f))
+
+
+def _slide_images(inst: PairInstance) -> CheckResult:
+    """check_image_slide's side "kernels", on the pair inst."""
+    if not classify(inst.outer).is_kernel:
         return CheckResult("image_slide.kernels", VACUOUS, inst)
-    composite_image = kernel(cokernel(g @ f).leg).leg
-    slid_image = g @ decompose(f).im
+    composite_image = kernel(cokernel(inst.composite).leg).leg
+    slid_image = inst.outer @ decompose(inst.inner).im
     if subobject_iso(composite_image, slid_image) is not None:
         return CheckResult("image_slide.kernels", PASS, inst)
     return CheckResult("image_slide.kernels", FAIL, inst, {
@@ -590,40 +593,54 @@ def probe_semistable(f: Morphism, role: str, n_samples: int, seed,
 
 
 # ---------------------------------------------------------------------------
-# the named-check registry (CLI surface)
+# the check catalog (CLI surface)
 
 
-CHECKS: dict[str, Callable[[Instance], CheckResult]] = {
-    **{f"{s}.{i}": (lambda inst, c=f"{s}.{i}": check_condition(c, inst))
-       for s in SIDES for i in INDICES},
-    "semi_abelian": lambda inst: check_semi_abelian(inst.f),
-    "strict": lambda inst: check_strict(inst.f),
-    "composite_cones": lambda inst: check_composite_cones(inst.inner, inst.outer),
-    "image_slide.kernels": lambda inst: check_image_slide(inst.inner, inst.outer, "kernels"),
-    "image_slide.cokernels": lambda inst: check_image_slide(inst.inner, inst.outer, "cokernels"),
-    "semistable": lambda inst: check_semistable_step(inst),
+def _mirrored(name: str, check: Callable[[Instance], CheckResult]):
+    """check's mirror statement, named name: check runs on the dualized
+    instance, and its verdict and witness return with the original one."""
+    def mirror(instance: Instance) -> CheckResult:
+        res = check(instance.dualize())
+        return CheckResult(name, res.verdict, instance, res.witness)
+    return mirror
+
+
+# check name -> (the instance kind it takes, its checker)
+_CATALOG: dict[str, tuple[str, Callable[[Instance], CheckResult]]] = {
+    "right.i": ("morphism", lambda inst: check_right_i(inst.f)),
+    "right.ii": ("pair", lambda inst: check_right_ii(inst.outer, inst.inner)),
+    "right.iii": ("square", lambda inst: check_right_iii(inst.square)),
+    "right.iv": ("square", lambda inst: check_right_iv(inst.square)),
+    "right.v": ("square", lambda inst: check_right_v(inst.square)),
+    "right.vi": ("pair", lambda inst: check_right_vi(inst.outer, inst.inner)),
+    "right.vii": ("square", lambda inst: check_right_vii(inst.square)),
 }
+_CATALOG.update({f"left.{i}": (kind, _mirrored(f"left.{i}", check))
+                 for i, (kind, check) in zip(INDICES, _CATALOG.values())})
+_CATALOG.update({
+    "semi_abelian": ("morphism", lambda inst: check_semi_abelian(inst.f)),
+    "strict": ("morphism", lambda inst: check_strict(inst.f)),
+    "composite_cones": ("pair", lambda inst: check_composite_cones(inst.inner, inst.outer)),
+    "image_slide.kernels": ("pair", _slide_images),
+    "image_slide.cokernels": ("pair", _mirrored("image_slide.cokernels", _slide_images)),
+    "semistable": ("probe", lambda inst: check_semistable_step(inst)),
+})
 
-# the instance kind each check takes; run_check and the catalog entry
-# points reject any other kind with a ValueError
-CHECK_KINDS = {
-    **{f"{s}.i": "morphism" for s in SIDES},
-    **{f"{s}.{i}": "pair" for s in SIDES for i in ("ii", "vi")},
-    **{f"{s}.{i}": "square" for s in SIDES for i in ("iii", "iv", "v", "vii")},
-    "semi_abelian": "morphism",
-    "strict": "morphism",
-    "composite_cones": "pair",
-    "image_slide.kernels": "pair",
-    "image_slide.cokernels": "pair",
-    "semistable": "probe",
-}
+CHECKS = {name: check for name, (_, check) in _CATALOG.items()}
+CHECK_KINDS = {name: kind for name, (kind, _) in _CATALOG.items()}
+
+
+def _run(name: str, instance: Instance) -> CheckResult:
+    try:
+        kind, check = _CATALOG[name]
+    except KeyError:
+        raise ValueError(f"unknown check: {name!r} (known: {', '.join(sorted(_CATALOG))})")
+    got = getattr(instance, "kind", type(instance).__name__)
+    if got != kind:
+        raise ValueError(f"{name} expects a {kind} instance, got {got}")
+    return check(instance)
 
 
 def run_check(name: str, instance: Instance) -> CheckResult:
     """Run a named checker; raises ValueError for unknown names or bad kinds."""
-    try:
-        fn = CHECKS[name]
-    except KeyError:
-        raise ValueError(f"unknown check: {name!r} (known: {', '.join(sorted(CHECKS))})")
-    _expect(name, instance)
-    return fn(instance)
+    return _run(name, instance)

@@ -118,6 +118,7 @@ class Cone:
 class Biproduct:
     """A biproduct A (+) B, the object ``ob``, with its structural maps.
 
+    ``category``, ``a`` and ``b`` name the category and the summands.
     Every construction here goes through four maps, which a category
     defines without composing through the injections and projections:
 
@@ -129,55 +130,64 @@ class Biproduct:
     - ``split_in(h)``, for h into A (+) B, is (proj1 @ h, proj2 @ h).
 
     Each raises ValueError when a leg does not fit.  The injections
-    ``inj1``, ``inj2`` and projections ``proj1``, ``proj2`` are built
-    only when a caller reads them.
+    ``inj1 = pair(id, 0)``, ``inj2 = pair(0, id)`` and projections
+    ``proj1 = copair(id, 0)``, ``proj2 = copair(0, id)`` are derived
+    here once, and built only when a caller reads them.
     """
 
+    category: "Category"
+    a: CatObject
+    b: CatObject
     ob: CatObject
+
+    @cached_property
+    def inj1(self) -> Morphism:
+        c = self.category
+        return self.pair(c.identity(self.a), c.zero_morphism(self.a, self.b))
+
+    @cached_property
+    def inj2(self) -> Morphism:
+        c = self.category
+        return self.pair(c.zero_morphism(self.b, self.a), c.identity(self.b))
+
+    @cached_property
+    def proj1(self) -> Morphism:
+        c = self.category
+        return self.copair(c.identity(self.a), c.zero_morphism(self.b, self.a))
+
+    @cached_property
+    def proj2(self) -> Morphism:
+        c = self.category
+        return self.copair(c.zero_morphism(self.a, self.b), c.identity(self.b))
 
 
 class _OppositeBiproduct(Biproduct):
     """A biproduct of an opposite category: each map is the base
     biproduct's dual map (pair and copair trade places, as do split_out
-    and split_in, and injections and projections)."""
+    and split_in)."""
 
     def __init__(self, op: "Opposite", base: Biproduct):
-        self._op, self._base = op, base
+        self._base = base
+        self.category, self.a, self.b = op, op._obj(base.a), op._obj(base.b)
         self.ob = op._obj(base.ob)
 
     def pair(self, f: Morphism, g: Morphism) -> Morphism:
-        op = self._op
+        op = self.category
         return op.wrap(self._base.copair(op.unwrap(f), op.unwrap(g)))
 
     def copair(self, f: Morphism, g: Morphism) -> Morphism:
-        op = self._op
+        op = self.category
         return op.wrap(self._base.pair(op.unwrap(f), op.unwrap(g)))
 
     def split_out(self, h: Morphism) -> tuple[Morphism, Morphism]:
-        op = self._op
+        op = self.category
         u, v = self._base.split_in(op.unwrap(h))
         return op.wrap(u), op.wrap(v)
 
     def split_in(self, h: Morphism) -> tuple[Morphism, Morphism]:
-        op = self._op
+        op = self.category
         u, v = self._base.split_out(op.unwrap(h))
         return op.wrap(u), op.wrap(v)
-
-    @cached_property
-    def inj1(self) -> Morphism:
-        return self._op.wrap(self._base.proj1)
-
-    @cached_property
-    def inj2(self) -> Morphism:
-        return self._op.wrap(self._base.proj2)
-
-    @cached_property
-    def proj1(self) -> Morphism:
-        return self._op.wrap(self._base.inj1)
-
-    @cached_property
-    def proj2(self) -> Morphism:
-        return self._op.wrap(self._base.inj2)
 
 
 @dataclass(frozen=True)
@@ -290,9 +300,9 @@ class Category:
     backend, and :class:`Opposite`, defines ``zero_object``,
     ``is_zero_object``, ``identity``, ``zero_morphism``,
     ``is_zero_morphism``, ``compose(g, f)`` (``g @ f``), ``add``,
-    ``negate``, ``biproduct(a, b)`` (a :class:`Biproduct` with the maps
-    ``pair``, ``copair``, ``split_out`` and ``split_in``, and the
-    injections and projections), ``kernel`` and
+    ``negate``, ``biproduct(a, b)`` (a :class:`Biproduct` defining the
+    maps ``pair``, ``copair``, ``split_out`` and ``split_in``; it
+    derives the injections and projections), ``kernel`` and
     ``cokernel`` (each a :class:`Cone`), ``is_iso``, the generators
     ``random_object(rng, dim_bound)``, ``random_morphism(rng, a, b)`` and
     ``random_iso(rng, a)``, and the JSON pairs ``object_to_json`` /

@@ -7,6 +7,7 @@ the generation layer.
 """
 
 import json
+import random
 
 import pytest
 
@@ -37,7 +38,17 @@ from preab.conditions import (
     instance_from_json,
     run_check,
 )
-from preab.core import ConstraintViolation, Square, classify, kernel, pullback, pushout
+from preab.core import (
+    ConstraintViolation,
+    Opposite,
+    Square,
+    classify,
+    cokernel,
+    is_pullback,
+    kernel,
+    pullback,
+    pushout,
+)
 from preab.linalg import RatMatrix, Subspace
 
 import preab.audit as audit_module
@@ -88,6 +99,8 @@ class TestAuditConfig:
         dict(samples={"default": -1}),
         dict(samples={"right.viii": 5}),
         dict(samples={"sideways.ii": 5}),
+        dict(seed=5),
+        dict(seed=None),
     ])
     def test_bad_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -217,7 +230,7 @@ def _shape_instances():
 
 
 PLAN_SITES = {
-    "morphism": [(0, {"f": "col"}), (1, {"f": "row"})],
+    "morphism": [(0, {"morphism": "col"}), (1, {"morphism": "row"})],
     "pair": [(0, {"inner": "col"}), (1, {"inner": "row", "outer": "col"}),
              (2, {"outer": "row"})],
     "pushout": [(0, {"left": "col", "top": "col"}), (1, {"left": "row"}),
@@ -226,11 +239,53 @@ PLAN_SITES = {
                  (2, {"bottom": "row", "right": "row"})],
     "commutative": [(0, {"top": "col", "left": "col"}), (1, {"left": "row", "bottom": "col"}),
                     (2, {"top": "row", "right": "col"}), (3, {"bottom": "row", "right": "row"})],
-    "kernel-probe": [(0, {"f": "col", "along": "col"}), (1, {"f": "row"}),
+    "kernel-probe": [(0, {"morphism": "col", "along": "col"}), (1, {"morphism": "row"}),
                      (2, {"along": "row"})],
-    "cokernel-probe": [(0, {"f": "col"}), (1, {"f": "row", "along": "row"}),
+    "cokernel-probe": [(0, {"morphism": "col"}), (1, {"morphism": "row", "along": "row"}),
                        (2, {"along": "col"})],
 }
+
+
+def _generated_instances():
+    """A generated instance of every condition, and kernel and cokernel
+    probes, on every backend, each also dualized."""
+    insts = []
+    for name in BACKEND_NAMES:
+        cat = get_backend(name)
+        for i, cond in enumerate(CONDITION_NAMES):
+            insts.append(generate_instance(name, cond, 3, f"edges:{i}").instance)
+            rng = random.Random(f"edges:{name}:{i}")
+            f = cat.random_morphism(rng, cat.random_object(rng, 3), cat.random_object(rng, 3))
+            k, c = kernel(f).leg, cokernel(f).leg
+            insts += [ProbeInstance(role="kernel", f=k, along=cat.random_morphism(
+                          rng, k.dom, cat.random_object(rng, 3))),
+                      ProbeInstance(role="cokernel", f=c, along=cat.random_morphism(
+                          rng, cat.random_object(rng, 3), c.cod))]
+    return insts + [inst.dualize() for inst in insts]
+
+
+def test_instances_state_their_edges_once():
+    extra = {"square": ["provenance"], "probe": ["role"]}
+    shapes = list(_shape_instances().values())
+    kinds = set()
+    for inst in shapes + _generated_instances():
+        edges = inst.edges()
+        rebuilt = inst.with_edges({k: f for k, (f, _, _) in edges.items()})
+        assert rebuilt.edges() == edges
+        # a generated pullback square is a dualized pushout: a pullback,
+        # but its apex orders the summands the other way round from the
+        # canonical pullback of its cospan, so it rebuilds up to iso only
+        if inst in shapes or inst.kind != "square" or inst.square.provenance == "pushout":
+            assert rebuilt == inst
+        else:
+            assert is_pullback(inst.square)
+        kinds.add(inst.kind)
+        if isinstance(inst.category, Opposite):
+            continue
+        blob = inst.to_json()
+        assert instance_from_json(blob) == rebuilt
+        assert list(blob) == ["kind", "backend", *extra.get(inst.kind, []), *edges]
+    assert kinds == {"morphism", "pair", "square", "probe"}
 
 
 @pytest.mark.parametrize("shape", sorted(PLAN_SITES))

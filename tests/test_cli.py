@@ -200,6 +200,11 @@ class TestAuditCommand:
         {"backend": "vectq", "dim_bound": MAX_DIM_BOUND + 1},
         {"backend": ["vectq"]},
         {"backend": {"a": 1}},
+        {"backend": "vectq", "seed": True},
+        {"backend": "vectq", "seed": 1.5},
+        {"backend": "vectq", "seed": None},
+        {"backend": "vectq", "seed": [1, 2]},
+        {"backend": "vectq", "seed": {"a": 1}},
     ])
     def test_bad_config_exits_one(self, tmp_path, capsys, blob):
         cfg = write_json(tmp_path, "cfg.json", blob)

@@ -16,6 +16,7 @@ from preab.conditions import (
     ALL_CONDITIONS,
     CHECK_KINDS,
     CHECKS,
+    CheckResult,
     ConditionId,
     MorphismInstance,
     PairInstance,
@@ -75,6 +76,30 @@ def test_registry_covers_catalog():
         assert str(cond) in CHECKS
         assert str(cond) in CHECK_KINDS
     assert set(CHECKS) == set(CHECK_KINDS)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_mirrored_checks_are_the_relabelled_mirror(name):
+    """Each left condition, and image_slide.cokernels, is its mirror check
+    run on the dualized instance, relabelled, with the original instance."""
+    from preab.audit import generate_instance
+
+    cat = BACKENDS[name]
+    rng = random.Random(f"mirror:{name}")
+    cases = []
+    for index in ("i", "ii", "iii", "iv", "v", "vi", "vii"):
+        for i in range(3):
+            inst = generate_instance(name, f"left.{index}", 3, f"mirror:{i}").instance
+            cases.append((f"left.{index}", f"right.{index}", inst))
+    for _ in range(5):
+        m = cat.random_object(rng, 3)
+        f = cokernel(cat.random_morphism(rng, cat.random_object(rng, 3), m)).leg
+        g = cat.random_morphism(rng, f.cod, cat.random_object(rng, 3))
+        cases.append(("image_slide.cokernels", "image_slide.kernels",
+                      PairInstance(outer=g, inner=f)))
+    for check, mirror, inst in cases:
+        res = run_check(mirror, inst.dualize())
+        assert run_check(check, inst) == CheckResult(check, res.verdict, inst, res.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +498,17 @@ def test_run_check_dispatch():
         run_check("right.unknown", inst)
     with pytest.raises(ValueError):
         run_check("right.iii", inst)  # wrong instance kind
+
+
+@pytest.mark.parametrize("cond", [5, None, 1.5, ["right.i"]])
+def test_condition_that_is_not_a_string_raises_value_error(cond):
+    from preab.audit import generate_instance
+
+    inst = all_instance_kinds()[0]
+    for call in (lambda: check_condition(cond, inst), lambda: check_left(cond, inst),
+                 lambda: generate_instance("vectq", cond, 3, "0")):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_check_result_json_shape():
