@@ -254,20 +254,24 @@ def _plan(inst):
     Each site is (payload index, {matrix name: axis}) tying one deletable
     ambient coordinate to the matrix columns (edges out of that object)
     and rows (edges into it) it removes.  rebuild turns edited payloads
-    and matrices back into an instance, raising on anything invalid.
+    and matrices back into an instance, raising on anything invalid.  It
+    validates only the payloads an edit replaced: one that is still the
+    plan's own (``ps[i] is payloads[i]``) keeps the instance's object.
     """
     cat = inst.category
     edges = inst.edges()
-    payloads = [a.payload for a in _objects(edges)]
+    objects = _objects(edges)
+    payloads = [a.payload for a in objects]
     mats = {name: f.payload for name, (f, _, _) in edges.items()}
     sites = [(i, {name: "col" if dom == i else "row"
                   for name, (_, dom, cod) in edges.items() if i in (dom, cod)})
              for i in range(len(payloads))]
 
     def rebuild(ps, ms):
+        obs = [a if p is a.payload else cat.make_object(p) for a, p in zip(objects, ps)]
         built = {}
         for name, (_, dom, cod) in edges.items():
-            f = cat.try_morphism(cat.make_object(ps[dom]), cat.make_object(ps[cod]), ms[name])
+            f = cat.try_morphism(obs[dom], obs[cod], ms[name])
             if f is None:
                 raise ConstraintViolation("edited matrix violates structure")
             built[name] = f

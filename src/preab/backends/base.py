@@ -74,6 +74,15 @@ class MatrixBackend(Category):
     objects (such as the bimorphism (V, 0) -> (V, V) of a flag
     category) takes the general path.  The results equal the general
     construction's.
+
+    ``divide_left`` and ``divide_right`` go through
+    :func:`~preab.linalg.solve_right`, which reads the quotient off a
+    divisor in reduced column echelon form (a flag kernel leg, or the
+    transpose of a flag cokernel leg) and checks one product instead of
+    eliminating.  ``is_iso`` inverts the matrix and lets the structure
+    constraints decide whether the inverse is a morphism; a subclass that
+    can read the answer off its structure overrides it, as
+    :class:`~preab.backends.flags.FlagBackend` does.
     """
 
     # -- generic implementations ------------------------------------------

@@ -27,6 +27,7 @@ from ..linalg import (
     matrix_to_json,
     preimage,
     pushforward,
+    rank,
     rref,
     solve_right,
 )
@@ -124,6 +125,22 @@ class FlagBackend(MatrixBackend):
             fits = image.is_zero() if y.dim == 0 else solve_right(y.basis, image) is not None
             if not fits:
                 raise ConstraintViolation("matrix does not map marked layers into marked layers")
+
+    def is_iso(self, f: Morphism) -> bool:
+        """Whether f is an iso: an identity, or a square invertible matrix
+        whose domain and codomain layers have equal dimensions, pairwise.
+
+        Proof: the inverse matrix is a morphism exactly when it maps each
+        codomain layer y into the domain layer x, that is when y lies in
+        f(x).  As f is a morphism, f(x) lies in y, and as f is injective,
+        f(x) has the dimension of x; so y lies in f(x) exactly when
+        x.dim == y.dim.  No inverse is built and no layer is solved against.
+        """
+        if self._is_identity(f):
+            return True
+        (n, xs), (m, ys) = f.dom.payload, f.cod.payload
+        return (n == m and all(x.dim == y.dim for x, y in zip(xs, ys))
+                and rank(f.payload) == n)
 
     def kernel_data(self, f: Morphism):
         n, xs = f.dom.payload

@@ -465,7 +465,10 @@ def dualize_square(sq: Square) -> Square:
     """Transport a square across duality.
 
     Top and bottom trade places (dualized), as do left and right;
-    pushout squares become pullback squares and conversely.
+    pushout squares become pullback squares and conversely.  The result
+    is a pullback (pushout) of its cospan (span), but in general not the
+    canonical one: its apex takes the biproduct summands in the other
+    order.
     """
     flip = {"pushout": "pullback", "pullback": "pushout"}
     return Square(

@@ -447,14 +447,45 @@ def image_basis(m: RatMatrix) -> "Subspace":
     return Subspace(m.rows, m)
 
 
+def _unit_rows(a: RatMatrix) -> list[int] | None:
+    """The row of each column's leading entry, when that entry is 1 and
+    the only non-zero entry of its row, as in reduced column echelon
+    form; otherwise None."""
+    k, num, d = a.cols, a._num, a._den
+    out = []
+    for j in range(k):
+        for i, x in enumerate(num[j::k]):
+            if x:
+                break
+        else:
+            return None  # a zero column
+        start = i * k
+        if x != d or any(num[start : start + j]) or any(num[start + j + 1 : start + k]):
+            return None
+        out.append(i)
+    return out
+
+
 def solve_right(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     """Solve a @ x = b exactly, or return None when no solution exists.
 
-    When the system is underdetermined the free variables are set to
-    zero, so the returned solution is a canonical one.
+    When each column of ``a`` has a leading entry 1 that is the only
+    non-zero entry of its row, as in reduced column echelon form (every
+    :class:`Subspace` basis), those rows of ``a`` are the identity, so
+    ``x`` must be the same rows of ``b``; that candidate solves the
+    system or nothing does, and no elimination is needed.  Any other
+    ``a`` is eliminated together with ``b``.  When the system is
+    underdetermined the free variables are set to zero, so the returned
+    solution is a canonical one.
     """
     if a.rows != b.rows:
         raise ValueError(f"row mismatch: {a.shape} vs {b.shape}")
+    unit_rows = _unit_rows(a)
+    if unit_rows is not None:
+        m, bnum = b.cols, b._num
+        x = RatMatrix._of(a.cols, m, [v for i in unit_rows for v in bnum[i * m : (i + 1) * m]],
+                          b._den)
+        return x if a @ x == b else None
     aug, pivots = _rref_pivots(hstack(a, b))
     if any(p >= a.cols for p in pivots):
         return None  # a pivot in the b block means the system is inconsistent
@@ -545,6 +576,12 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
     def contains(self, other: "Subspace") -> bool:
+        """Whether ``other`` lies in this subspace.
+
+        The canonical basis holds the identity in its pivot rows, so
+        :func:`solve_right` reads the coordinates of ``other``'s basis
+        off those rows and checks one product, with no elimination.
+        """
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient spaces differ")
         if other.dim == 0:

@@ -28,6 +28,7 @@ from preab.audit import (
     shrink,
 )
 from preab.backends import get_backend
+from preab.backends.flags import FlagBackend
 from preab.conditions import (
     CheckResult,
     MorphismInstance,
@@ -151,6 +152,17 @@ class TestGeneration:
         inst = generate_instance(backend, cond, 3, "gen-tests").instance
         blob = json.loads(json.dumps(inst.to_json()))
         assert instance_from_json(blob).to_json() == inst.to_json()
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("cond", ["left.iii", "left.iv", "left.v", "left.vii"])
+    def test_dualized_squares_replay_to_their_verdict(self, backend, cond):
+        # these squares are dualized pushouts, which replay as the canonical
+        # pullback of their cospan: an isomorphic square, not the same one
+        for i in range(4):
+            res = generate_instance(backend, cond, 3, f"replay:{i}")
+            blob = json.loads(json.dumps(res.instance.to_json()))
+            assert blob["provenance"] == "pullback"
+            assert check_condition(cond, instance_from_json(blob)).verdict == res.verdict
 
     def test_generation_is_deterministic(self):
         a = generate_instance("subvect", "right.iii", 3, "repeat").instance
@@ -362,6 +374,113 @@ class TestShrink:
         small, _ = shrink(res)
         replayed = instance_from_json(json.loads(json.dumps(small.instance.to_json())))
         assert run_check("strict", replayed).verdict == "fail"
+
+
+def _remaking_plan(inst):
+    """_plan with the rebuild that makes every object afresh from its payload."""
+    payloads, mats, sites, _ = _plan(inst)
+    cat, edges = inst.category, inst.edges()
+
+    def rebuild(ps, ms):
+        built = {}
+        for name, (_, dom, cod) in edges.items():
+            f = cat.try_morphism(cat.make_object(ps[dom]), cat.make_object(ps[cod]), ms[name])
+            if f is None:
+                raise ConstraintViolation("edited matrix violates structure")
+            built[name] = f
+        return inst.with_edges(built)
+
+    return payloads, mats, sites, rebuild
+
+
+def _strict_failures(name, count):
+    """The first count non-strict morphisms drawn at dimension <= 4, checked."""
+    cat = get_backend(name)
+    rng = random.Random(f"strict failures:{name}")
+    out = []
+    while len(out) < count:
+        f = cat.random_morphism(rng, cat.random_object(rng, 4), cat.random_object(rng, 4))
+        res = run_check("strict", MorphismInstance(f))
+        if res.verdict == "fail":
+            out.append(res)
+    return out
+
+
+def _stand_in_check(check, inst):
+    """Fails while the instance has three coordinates and a non-zero edge."""
+    fails = instance_size(inst) >= 3 and any(
+        not f.payload.is_zero() for f, _, _ in inst.edges().values())
+    return CheckResult(check, "fail" if fails else "pass", inst)
+
+
+def _stand_in_failures():
+    """Pushout, pullback and probe instances on every backend, failing the stand-in."""
+    insts = []
+    for name in BACKEND_NAMES:
+        cat = get_backend(name)
+        for i in range(3):
+            insts += [generate_instance(name, "right.iii", 3, f"reuse:{i}").instance,
+                      generate_instance(name, "left.iii", 3, f"reuse:{i}").instance]
+            rng = random.Random(f"reuse:{name}:{i}")
+            f = cat.random_morphism(rng, cat.random_object(rng, 3), cat.random_object(rng, 3))
+            k, c = kernel(f).leg, cokernel(f).leg
+            insts += [ProbeInstance(role="kernel", f=k, along=cat.random_morphism(
+                          rng, k.dom, cat.random_object(rng, 3))),
+                      ProbeInstance(role="cokernel", f=c, along=cat.random_morphism(
+                          rng, cat.random_object(rng, 3), c.cod))]
+    return [_stand_in_check("stand-in", inst) for inst in insts]
+
+
+def _shrink_both_ways(monkeypatch, res):
+    small, spent = shrink(res)
+    with monkeypatch.context() as m:
+        m.setattr(audit_module, "_plan", _remaking_plan)
+        reference = shrink(res)
+    assert (small, spent) == reference
+    assert small.to_json() == reference[0].to_json()
+    return spent
+
+
+@pytest.mark.parametrize("backend", ["latz", "subvect", "filtvect3"])
+def test_shrinking_strict_failures_matches_remaking_every_object(monkeypatch, backend):
+    spent = [_shrink_both_ways(monkeypatch, res) for res in _strict_failures(backend, 4)]
+    assert all(spent)
+
+
+def test_shrinking_under_a_stand_in_check_matches_remaking_every_object(monkeypatch):
+    monkeypatch.setattr(audit_module, "run_check", _stand_in_check)
+    failures = [res for res in _stand_in_failures() if res.verdict == "fail"]
+    assert {res.instance.kind for res in failures} == {"square", "probe"}
+    assert {res.instance.square.provenance for res in failures
+            if res.instance.kind == "square"} == {"pushout", "pullback"}
+    assert sum(_shrink_both_ways(monkeypatch, res) for res in failures) > 0
+
+
+def test_shrink_makes_only_the_objects_an_edit_replaced(monkeypatch):
+    """Each coordinate deletion replaces one payload, which is the only one
+    rebuilt through make_object; entry edits rebuild none."""
+    square = next(res for res in _stand_in_failures()
+                  if res.verdict == "fail" and res.instance.category.name == "filtvect3")
+    strict = run_check("strict", MorphismInstance(subvect_witness(3)))
+    calls = {"make_object": 0, "drop_coordinate": 0}
+
+    def counted(name):
+        real = getattr(FlagBackend, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(FlagBackend, name, counted(name))
+    for res in (strict, square):
+        calls.update(make_object=0, drop_coordinate=0)
+        with monkeypatch.context() as m:
+            if res is square:
+                m.setattr(audit_module, "run_check", _stand_in_check)
+            shrink(res)
+        assert calls["make_object"] == calls["drop_coordinate"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import pytest
 from preab import BACKENDS, ConstraintViolation, classify, get_backend, lattice, linalg
 from preab.backends import FILTVECT3, LATZ, SUBVECT, VECTQ
 from preab.backends.flags import _adapted_columns
-from preab.linalg import RatMatrix, Subspace, preimage, pushforward, solve_right
+from preab.core import Opposite
+from preab.linalg import RatMatrix, Subspace, invert, preimage, pushforward, solve_right
 
 ALL = sorted(BACKENDS)
 
@@ -129,8 +130,8 @@ def test_subspace_questions_take_one_elimination_each(monkeypatch):
     """Counts calls of the one elimination routine, so that a second
     elimination per question (building a Subspace only to test it, or
     eliminating a basis that is already canonical) shows up.  A layer
-    check needs no solve when the codomain layer is the whole space or
-    zero, and a zero layer's pushforward needs none either."""
+    check solves against a canonical basis, which needs no elimination,
+    and a zero layer's pushforward needs none either."""
     calls = []
     real = linalg._rref_pivots
     monkeypatch.setattr(linalg, "_rref_pivots", lambda m: calls.append(m) or real(m))
@@ -144,10 +145,10 @@ def test_subspace_questions_take_one_elimination_each(monkeypatch):
     for _ in range(40):
         a, b = FILTVECT3.random_object(rng, 4), FILTVECT3.random_object(rng, 4)
         f = FILTVECT3.random_morphism(rng, a, b)
-        (n, xs), (m, ys) = a.payload, b.payload
-        solves = sum(1 for x, y in zip(xs, ys) if x.dim and 0 < y.dim < m)
+        (n, xs), (_, ys) = a.payload, b.payload
         assert count(FILTVECT3.check_payload_constraints, a.payload, b.payload,
-                     f.payload) == solves
+                     f.payload) == 0
+        assert count(ys[-1].contains, ys[0]) == 0
         for y in ys:
             assert count(preimage, f.payload, y) == 1
         assert count(_adapted_columns, n, xs) == 1
@@ -205,6 +206,61 @@ def test_random_iso_invertible(name):
         f = cat.random_iso(rng, a)
         assert f.dom == a and f.cod == a
         assert cat.is_iso(f)
+
+
+def _is_iso_by_inversion(cat, f):
+    """The iso test that builds the inverse: invert the matrix, then ask
+    the base category's structure constraints whether it is a morphism."""
+    if isinstance(cat, Opposite):
+        cat, f = cat.base, cat.unwrap(f)
+    inv = invert(f.payload)
+    if inv is None:
+        return False
+    try:
+        cat.check_payload_constraints(f.cod.payload, f.dom.payload, inv)
+    except ConstraintViolation:
+        return False
+    return True
+
+
+def _same_dim_object(cat, rng, a):
+    while True:
+        b = cat.random_object(rng, 3)
+        if b.payload[0] == a.payload[0]:
+            return b
+
+
+@pytest.mark.parametrize("side", ["base", "op"])
+@pytest.mark.parametrize("name", ["vectq", "subvect", "filtvect3"])
+def test_flag_iso_rule_matches_inversion(name, side):
+    """FlagBackend.is_iso reads the answer off the rank and the layer
+    dimensions; it must agree with inverting and checking the inverse."""
+    base = get_backend(name)
+    cat = base.opposite() if side == "op" else base
+    rng = random.Random(f"flag iso rule:{name}:{side}")
+    morphisms = []
+    for _ in range(60):
+        a = cat.random_object(rng, 3)
+        morphisms += [cat.random_iso(rng, a),
+                      cat.random_morphism(rng, a, a),
+                      cat.random_morphism(rng, a, _same_dim_object(cat, rng, a)),
+                      cat.random_morphism(rng, a, cat.random_object(rng, 3)),
+                      cat.zero_morphism(a, a)]
+    for v in range(1, 4):
+        # the bimorphism (V, 0) -> (V, V)
+        zero, full = (base.obj(v, [s] * base.n_layers) for s in (Subspace.zero(v),
+                                                                  Subspace.full(v)))
+        f = base.make_morphism(zero, full, RatMatrix.identity(v))
+        morphisms.append(cat.wrap(f) if side == "op" else f)
+    kinds = set()
+    for f in morphisms:
+        iso = cat.is_iso(f)
+        assert iso == _is_iso_by_inversion(cat, f)
+        m = cat.unwrap(f).payload if side == "op" else f.payload
+        kinds.add("iso" if iso else "not square" if m.rows != m.cols else
+                  "singular" if invert(m) is None else "invertible, no iso")
+    assert kinds == {"iso", "not square", "singular"} | (
+        {"invertible, no iso"} if base.n_layers else set())
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preab import linalg
 from preab.backends import FILTVECT3, VECTQ
 from preab.lattice import IntLattice, column_hnf, integer_kernel
 from preab.linalg import (
@@ -357,6 +358,83 @@ def test_solve_right_finds_constructed_solutions():
         x = solve_right(a, b)
         assert x is not None
         assert a @ x == b
+
+
+def _solve_by_elimination(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
+    """a @ x = b through the rref of [a | b]: no solution when a pivot
+    lies in the b block, otherwise each pivot row's b part at its pivot
+    column and zeros at the free columns."""
+    r = rref(hstack(a, b))
+    x = [[0] * b.cols for _ in range(a.cols)]
+    for i in range(r.rows):
+        row = r.row(i)
+        lead = next((j for j, v in enumerate(row) if v), None)
+        if lead is None:
+            break
+        if lead >= a.cols:
+            return None
+        x[lead] = row[a.cols:]
+    return RatMatrix.from_rows(x, cols=b.cols)
+
+
+def _identity_in_unit_rows(rng: random.Random, n: int, k: int) -> RatMatrix:
+    """An n x k matrix, k < n, whose rows at k positions after row 0 are
+    the unit rows in order, with random rows elsewhere; row 0 has a
+    non-zero entry above the unit row of its column, so it is no
+    reduced column echelon form."""
+    units = sorted(rng.sample(range(1, n), k))
+    rows = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+    for j, i in enumerate(units):
+        rows[i] = [int(c == j) for c in range(k)]
+    rows[0][rng.randrange(k)] = rng.choice((-2, -1, 1, 2, 3))
+    return RatMatrix.from_rows(rows, cols=k)
+
+
+def _solve_right_systems(rng: random.Random):
+    """(family, a) pairs: canonical bases, unit rows under a non-zero
+    entry, full-rank and rank-deficient matrices, and empty shapes."""
+    for _ in range(60):
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        yield "canonical", Subspace.span(n, _random_matrix(rng, n, k)).basis
+        if n > 1:
+            yield "unit rows", _identity_in_unit_rows(rng, n, rng.randint(1, n - 1))
+        yield "eliminated", _random_matrix(rng, n, k)
+        r = rng.randint(0, min(n, k) - 1)
+        yield "eliminated", _random_matrix(rng, n, r) @ _random_matrix(rng, r, k)
+    for n, k in ((0, 3), (3, 0), (0, 0)):
+        yield "shape", RatMatrix.zeros(n, k)
+
+
+def _with_right_hand_sides(rng: random.Random, systems):
+    """(family, a, b) triples: each a with a consistent and a random b."""
+    for family, a in systems:
+        m = rng.randint(0, 3)
+        yield family, a, a @ _random_rational_matrix(rng, a.cols, m)
+        yield family, a, _random_rational_matrix(rng, a.rows, m)
+
+
+def test_solve_right_matches_the_elimination_route():
+    """The read-off against a basis with unit rows, and its product
+    check, agree with one elimination of [a | b] on every kind of a."""
+    rng = random.Random("solve_right read-off")
+    outcomes = {}
+    for family, a, b in _with_right_hand_sides(rng, _solve_right_systems(rng)):
+        x = solve_right(a, b)
+        assert x == _solve_by_elimination(a, b)
+        outcomes.setdefault(family, set()).add(x is None)
+    assert outcomes == {family: {True, False} for family in outcomes}
+
+
+def test_solve_against_a_canonical_basis_takes_no_elimination(monkeypatch):
+    rng = random.Random("solve_right no elimination")
+    bases = [Subspace.span(n, _random_matrix(rng, n, rng.randint(0, 5))).basis
+             for n in range(6) for _ in range(8)]
+    systems = list(_with_right_hand_sides(rng, (("canonical", a) for a in bases)))
+    calls = []
+    real = linalg._rref_pivots
+    monkeypatch.setattr(linalg, "_rref_pivots", lambda m: calls.append(m) or real(m))
+    solved = [solve_right(a, b) is not None for _, a, b in systems]
+    assert calls == [] and set(solved) == {True, False}
 
 
 def test_kernel_vectors_are_killed():
