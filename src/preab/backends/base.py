@@ -2,15 +2,24 @@
 
 A subclass only has to say what its objects are (ambient dimension plus
 whatever extra structure it carries), when a matrix respects that
-structure, and how to build kernel and cokernel objects.  Composition,
-biproducts, division, iso testing and the cone plumbing are generic.
+structure, and how to build kernel, cokernel, coimage and image
+objects.  Composition, biproducts, division, iso testing, the cone
+plumbing and the canonical decomposition are generic.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..core import Biproduct, CatObject, Category, Cone, ConstraintViolation, Morphism
+from ..core import (
+    Biproduct,
+    CatObject,
+    Category,
+    Cone,
+    ConstraintViolation,
+    Decomposition,
+    Morphism,
+)
 from ..linalg import RatMatrix, hstack, invert, solve_right, vstack
 
 
@@ -49,15 +58,26 @@ class MatrixBackend(Category):
     """Category base class with RatMatrix morphism payloads.
 
     Besides ``make_object``, ``zero_object``, generation and JSON (see
-    :class:`~preab.core.Category`), a subclass defines six hooks:
+    :class:`~preab.core.Category`), a subclass defines eight hooks:
     ``ambient_dim(payload)``; ``check_payload_constraints(dom_payload,
     cod_payload, m)``, which raises ConstraintViolation when ``m`` breaks
     the structure; ``direct_sum_payload(a_payload, b_payload)``, the
     biproduct's payload; ``drop_coordinate(payload, j)``, the payload with
-    ambient coordinate ``j`` projected away (for shrinking); and
+    ambient coordinate ``j`` projected away (for shrinking);
     ``kernel_data(f)`` and ``cokernel_data(f)``, each returning the apex
     payload and the leg matrix (apex -> dom f for a kernel, cod f -> apex
-    for a cokernel).
+    for a cokernel); and ``coimage_data(f)`` and ``image_data(f)``, the
+    same for the coimage cok(ker f) (dom f -> apex) and the image
+    ker(cok f) (apex -> cod f), read off f itself.  A coimage leg is
+    r x n and an image leg m x r, for r the rank of f; when r == n
+    (r == m) the hook returns the domain's (codomain's) own payload and
+    the identity matrix, with no apex structure computed.
+
+    ``decompose`` builds f = im @ fbar @ coim from those two legs, so no
+    kernel or cokernel cone of f is built: f is mono when its coimage leg
+    is square and epi when its image leg is, and fbar is found by
+    dividing, which checks the product exactly (RuntimeError if f does
+    not factor).
 
     A biproduct A (+) B puts A's coordinates first.  Its ``pair`` and
     ``copair`` stack the legs' matrices and its splits slice a matrix's
@@ -68,12 +88,13 @@ class MatrixBackend(Category):
     property, with no elimination and no hook call: the kernel of
     ``0: A -> B`` is ``id_A`` and its cokernel ``id_B``; the kernel of
     ``id_A`` is ``0 -> A`` from the zero object and its cokernel
-    ``A -> 0``; dividing by an identity returns the dividend; and an
-    identity is an iso.  An identity is a morphism with ``dom == cod``
-    and the identity matrix; the identity matrix between two different
-    objects (such as the bimorphism (V, 0) -> (V, V) of a flag
-    category) takes the general path.  The results equal the general
-    construction's.
+    ``A -> 0``; ``0: A -> B`` decomposes through the zero object, and
+    ``id_A`` as ``id_A @ id_A @ id_A``; dividing by an identity returns
+    the dividend; and an identity is an iso.  An identity is a morphism
+    with ``dom == cod`` and the identity matrix; the identity matrix
+    between two different objects (such as the bimorphism
+    (V, 0) -> (V, V) of a flag category) takes the general path.  The
+    results equal the general construction's.
 
     ``divide_left`` and ``divide_right`` go through
     :func:`~preab.linalg.solve_right`, which reads the quotient off a
@@ -141,6 +162,27 @@ class MatrixBackend(Category):
         apex = CatObject(self, apex_payload)
         leg = Morphism(self, f.cod, apex, leg_matrix)
         return Cone(kind="cokernel", of=f, apex=apex, leg=leg)
+
+    def decompose(self, f: Morphism) -> Decomposition:
+        if f.payload.is_zero():
+            zero = self.zero_object()
+            return Decomposition(coim=self.zero_morphism(f.dom, zero), fbar=self.identity(zero),
+                                 im=self.zero_morphism(zero, f.cod),
+                                 mono=self.is_zero_object(f.dom), epi=self.is_zero_object(f.cod))
+        if self._is_identity(f):
+            return Decomposition(coim=f, fbar=f, im=f, mono=True, epi=True)
+        coim_payload, q = self.coimage_data(f)
+        im_payload, b = self.image_data(f)
+        coim = Morphism(self, f.dom, CatObject(self, coim_payload), q)
+        im = Morphism(self, CatObject(self, im_payload), f.cod, b)
+        through_coim = self.divide_right(coim, f)
+        if through_coim is None:
+            raise RuntimeError("f does not factor through its coimage")
+        fbar = self.divide_left(im, through_coim)
+        if fbar is None:
+            raise RuntimeError("f does not factor through its image")
+        return Decomposition(coim=coim, fbar=fbar, im=im,
+                             mono=q.rows == q.cols, epi=b.rows == b.cols)
 
     def divide_left(self, g: Morphism, h: Morphism) -> Optional[Morphism]:
         if g.cod != h.cod:

@@ -21,6 +21,7 @@ from ..linalg import (
     Subspace,
     block_diagonal,
     check_declared_dim,
+    column_echelon_basis,
     hstack,
     kernel_basis,
     matrix_from_json,
@@ -28,6 +29,7 @@ from ..linalg import (
     preimage,
     pushforward,
     rank,
+    row_echelon_basis,
     rref,
     solve_right,
 )
@@ -62,6 +64,21 @@ def _adapted_columns(dim: int, layers: tuple[Subspace, ...]
     p_inv = RatMatrix._of(dim, dim, [x for i in range(dim)
                                      for x in rnum[(i + 1) * n - dim : (i + 1) * n]], r._den)
     return p, p_inv, [owner[j] for j in pivots]
+
+
+def _delete_coordinate(s: Subspace, j: int) -> Subspace:
+    """The image of ``s`` with ambient coordinate ``j`` projected away.
+
+    Deleting a row that holds no column's leading 1 leaves a reduced
+    column echelon basis in that form: every pivot row, with its lone 1,
+    survives, and the columns stay independent.  Only a pivot row's
+    deletion needs a new elimination.
+    """
+    k, num = s.basis.cols, s.basis._num
+    # a pivot row holds the first non-zero entry of some column
+    pivot = any(num[j * k + c] and not any(num[c : j * k : k]) for c in range(k))
+    rest = s.basis.delete_row(j)
+    return (Subspace.span if pivot else Subspace._canonical)(s.ambient_dim - 1, rest)
 
 
 class FlagBackend(MatrixBackend):
@@ -112,7 +129,7 @@ class FlagBackend(MatrixBackend):
         n, layers = payload
         if not 0 <= j < n:
             raise ValueError("coordinate out of range")
-        return (n - 1, tuple(Subspace.span(n - 1, s.basis.delete_row(j)) for s in layers))
+        return (n - 1, tuple(_delete_coordinate(s, j) for s in layers))
 
     # -- morphisms -----------------------------------------------------------
     def check_payload_constraints(self, dom_payload, cod_payload, m: RatMatrix) -> None:
@@ -154,6 +171,23 @@ class FlagBackend(MatrixBackend):
         q = kernel_basis(f.payload.transpose()).basis.transpose()
         layers = tuple(pushforward(q, y) for y in ys)
         return (q.rows, layers), q
+
+    def coimage_data(self, f: Morphism):
+        n, xs = f.dom.payload
+        # ker(K^T), for K the kernel leg, is the row space of f, and the
+        # non-zero rows of rref(f) are that space's canonical basis
+        q = row_echelon_basis(f.payload)
+        if q.rows == n:
+            return f.dom.payload, q
+        return (q.rows, tuple(pushforward(q, x) for x in xs)), q
+
+    def image_data(self, f: Morphism):
+        m, ys = f.cod.payload
+        # ker(cok f) is the column space of f
+        b = column_echelon_basis(f.payload)
+        if b.cols == m:
+            return f.cod.payload, b
+        return (b.cols, tuple(preimage(b, y) for y in ys)), b
 
     # -- generation ------------------------------------------------------------
     def random_object(self, rng, dim_bound: int) -> CatObject:

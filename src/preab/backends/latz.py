@@ -54,11 +54,21 @@ class LatZBackend(MatrixBackend):
         return basis.cols, basis
 
     def cokernel_data(self, f: Morphism):
+        q = pure_quotient_rows(self.image_data(f)[1])
+        return q.rows, q
+
+    def coimage_data(self, f: Morphism):
+        # the kernel leg is saturated and in column Hermite form, so it is
+        # its own saturation and the coimage is its quotient projection
+        q = pure_quotient_rows(integer_kernel(f.payload))
+        return q.rows, q
+
+    def image_data(self, f: Morphism):
         # the kernel of the annihilator of the image is the image's
         # saturation, already in column Hermite form
         annihilator = integer_kernel(f.payload.transpose())
-        q = pure_quotient_rows(integer_kernel(annihilator.transpose()))
-        return q.rows, q
+        s = integer_kernel(annihilator.transpose())
+        return s.cols, s
 
     # -- generation ------------------------------------------------------------
     def random_object(self, rng, dim_bound: int) -> CatObject:

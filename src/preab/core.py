@@ -1,8 +1,8 @@
 """Core machinery for additive categories with kernels and cokernels.
 
 A :class:`Category` supplies composition, the additive structure,
-biproducts, and kernel/cokernel constructors; everything else here is
-generic: canonical decompositions, morphism classification, pushouts
+biproducts, kernel/cokernel constructors and canonical decompositions;
+everything else here is generic: morphism classification, pushouts
 and pullbacks via biproducts, induced maps between kernels and
 cokernels, and the opposite category.  Pushouts, pullbacks and their
 mediators use a :class:`Biproduct` only through its maps ``pair``,
@@ -220,16 +220,44 @@ class Decomposition:
 
     ``coim`` is the cokernel of ker f, ``im`` is the kernel of cok f,
     and ``fbar`` is the induced comparison between them.  A morphism is
-    strict exactly when fbar is an isomorphism.  The kernel and cokernel
-    cones of f that the factorization is built from ride along; they
-    take no part in equality, hashing or repr.
+    strict exactly when fbar is an isomorphism.  ``mono`` and ``epi``
+    say whether f is mono (ker f is zero, so ``coim`` is the identity
+    of dom f) and epi (cok f is zero, so ``im`` is the identity of
+    cod f).
+
+    The matrix backends read both legs off f itself, with no kernel or
+    cokernel cone in between (see ``MatrixBackend.decompose``):
+
+    - *row space* (flag categories): with K the kernel leg, the rows of
+      cok K span ker(K^T), the annihilator of ker f, which is the row
+      space of f; so ``coim`` is the non-zero rows of rref(f).  Dually,
+      ker(cok f) is the column space of f, so ``im`` is its canonical
+      column basis.
+    - *saturation* (latz): the integer kernel of f is saturated and in
+      column Hermite form, so it is its own saturation and ``coim`` is
+      its quotient projection; ``im`` is the saturation of the image of
+      f, the integer kernel of its annihilator.
+
+    >>> from preab.backends import VECTQ
+    >>> from preab.linalg import RatMatrix
+    >>> f = VECTQ.make_morphism(VECTQ.obj(2), VECTQ.obj(2),
+    ...                         RatMatrix.from_rows([[1, 2], [2, 4]]))
+    >>> d = decompose(f)
+    >>> d.coim.payload == RatMatrix.from_rows([[1, 2]])
+    True
+    >>> d.im.payload == RatMatrix.from_rows([[1], [2]])
+    True
+    >>> d.fbar.payload == RatMatrix.identity(1)
+    True
+    >>> d.mono, d.epi, d.recompose() == f
+    (False, False, True)
     """
 
     coim: Morphism
     fbar: Morphism
     im: Morphism
-    kernel: Cone = field(compare=False, repr=False)
-    cokernel: Cone = field(compare=False, repr=False)
+    mono: bool
+    epi: bool
 
     def recompose(self) -> Morphism:
         return self.im @ self.fbar @ self.coim
@@ -245,10 +273,8 @@ class Decomposition:
         when f is epi its image leg is, and then f = im @ fbar @ coim is
         an iso exactly when fbar is.
         """
-        c = self.fbar.category
-        mono = c.is_zero_object(self.kernel.apex)
-        epi = c.is_zero_object(self.cokernel.apex)
-        strict = c.is_iso(self.fbar)
+        mono, epi = self.mono, self.epi
+        strict = self.fbar.category.is_iso(self.fbar)
         return MorphismClass(
             mono=mono,
             epi=epi,
@@ -303,7 +329,8 @@ class Category:
     ``negate``, ``biproduct(a, b)`` (a :class:`Biproduct` defining the
     maps ``pair``, ``copair``, ``split_out`` and ``split_in``; it
     derives the injections and projections), ``kernel`` and
-    ``cokernel`` (each a :class:`Cone`), ``is_iso``, the generators
+    ``cokernel`` (each a :class:`Cone`), ``decompose`` (the
+    :class:`Decomposition` of a morphism), ``is_iso``, the generators
     ``random_object(rng, dim_bound)``, ``random_morphism(rng, a, b)`` and
     ``random_iso(rng, a)``, and the JSON pairs ``object_to_json`` /
     ``object_from_json`` and ``morphism_to_json`` / ``morphism_from_json``.
@@ -407,6 +434,13 @@ class Opposite(Category):
     def cokernel(self, f):
         return self._dual_cone(self.base.kernel(self.unwrap(f)), f, "cokernel")
 
+    def decompose(self, f):
+        # the base decomposition read backwards: its image leg is the
+        # coimage here, and mono and epi trade places
+        d = self.base.decompose(self.unwrap(f))
+        return Decomposition(coim=self.wrap(d.im), fbar=self.wrap(d.fbar),
+                             im=self.wrap(d.coim), mono=d.epi, epi=d.mono)
+
     # division
     def divide_left(self, g, h):
         u = self.base.divide_right(self.unwrap(g), self.unwrap(h))
@@ -492,19 +526,7 @@ def cokernel(f: Morphism) -> Cone:
 
 def decompose(f: Morphism) -> Decomposition:
     """Canonical factorization through the coimage and the image."""
-    c = f.category
-    kc = c.kernel(f)
-    coim_cone = c.cokernel(kc.leg)
-    cc = c.cokernel(f)
-    im_cone = c.kernel(cc.leg)
-    through_coim = coim_cone.factor(f)
-    if through_coim is None:
-        raise RuntimeError("cokernel cone refused to factor f through its own coimage")
-    fbar = im_cone.factor(through_coim)
-    if fbar is None:
-        raise RuntimeError("kernel cone refused to factor f through its own image")
-    return Decomposition(coim=coim_cone.leg, fbar=fbar, im=im_cone.leg,
-                         kernel=kc, cokernel=cc)
+    return f.category.decompose(f)
 
 
 def classify(f: Morphism) -> MorphismClass:

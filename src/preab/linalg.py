@@ -32,8 +32,8 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # the largest dimension a JSON input may declare.  It bounds the shapes
 # an input can declare, not the time: a dense input far below it can
 # still run for minutes.  With entries in -3..3 on a 2-CPU machine, a
-# dense 80x160 vectq decompose takes 4.1 s, and a dense 40x80 latz one
-# did not finish within 100 s
+# dense 80x160 vectq decompose takes 1.3 s and a dense 30x60 latz one
+# 1.0 s, but a dense 40x80 latz one did not finish within 100 s
 MAX_DIM = 512
 
 
@@ -395,6 +395,13 @@ def rank(m: RatMatrix) -> int:
     return len(_rref_pivots(m)[1])
 
 
+def row_echelon_basis(m: RatMatrix) -> RatMatrix:
+    """Canonical basis of the row space of ``m``: the non-zero rows of rref(m)."""
+    r, pivots = _rref_pivots(m)
+    k = len(pivots)
+    return RatMatrix._of(k, m.cols, r._num[: k * m.cols], r._den)
+
+
 def column_echelon_basis(m: RatMatrix) -> RatMatrix:
     """Canonical basis of the column space of ``m``.
 
@@ -402,10 +409,7 @@ def column_echelon_basis(m: RatMatrix) -> RatMatrix:
     reduced column echelon form depends only on the span, so two
     matrices have equal column space iff this function agrees on them.
     """
-    r, pivots = _rref_pivots(m.transpose())
-    n, k, num = m.rows, len(pivots), r._num
-    # row i of the result is column i of the k pivot rows
-    return RatMatrix._of(n, k, [x for i in range(n) for x in num[i : k * n : n]], r._den)
+    return row_echelon_basis(m.transpose()).transpose()
 
 
 def _kernel_echelon(m: RatMatrix) -> RatMatrix:
@@ -539,7 +543,9 @@ class Subspace:
           off one elimination (see :func:`_kernel_echelon`);
         - ``FlagBackend.direct_sum_payload``, whose layers are the
           block-diagonal of two canonical bases: the blocks' pivot rows
-          do not overlap, so the result is canonical too.
+          do not overlap, so the result is canonical too;
+        - ``FlagBackend.drop_coordinate``, which deletes a row that is
+          not a pivot row: the pivot rows keep their lone leading 1s.
         """
         s = object.__new__(cls)
         s.ambient_dim, s.basis = ambient_dim, basis

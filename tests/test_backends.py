@@ -160,6 +160,37 @@ def test_subspace_questions_take_one_elimination_each(monkeypatch):
         assert count(FILTVECT3.biproduct, a, b) == 0
 
 
+def _pivot_rows(s):
+    """The row of each column's leading entry in a canonical basis."""
+    return {next(i for i, x in enumerate(s.basis.column(c)) if x) for c in range(s.dim)}
+
+
+@pytest.mark.parametrize("name", ["vectq", "subvect", "filtvect3"])
+def test_drop_coordinate_matches_respanning(name, monkeypatch):
+    """Deleting a coordinate keeps a layer's basis canonical unless the
+    row held a pivot; only those layers are eliminated again."""
+    cat = BACKENDS[name]
+    calls = []
+    real = linalg._rref_pivots
+    monkeypatch.setattr(linalg, "_rref_pivots", lambda m: calls.append(m) or real(m))
+    rng = random.Random(f"drop coordinate:{name}")
+    seen = set()
+    for _ in range(60):
+        n, layers = payload = cat.random_object(rng, 5).payload
+        for j in range(n):
+            calls.clear()
+            m, dropped = cat.drop_coordinate(payload, j)
+            pivots = sum(j in _pivot_rows(s) for s in layers)
+            assert len(calls) == pivots
+            seen.add(pivots > 0)
+            assert m == n - 1
+            cat.make_object((m, dropped))
+            for s, t in zip(layers, dropped):
+                assert t == Subspace.span(n - 1, s.basis.delete_row(j))
+                assert t.basis == linalg.column_echelon_basis(t.basis)
+    assert seen == ({False, True} if name != "vectq" else {False})
+
+
 def test_latz_cokernel_takes_two_hermite_forms(monkeypatch):
     """The saturation of the image is the integer kernel of its
     annihilator, already in column Hermite form, so one cokernel needs

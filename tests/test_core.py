@@ -5,6 +5,7 @@ Frozen cases are hand-computed against the canonical basis conventions
 loops then exercise the same laws on generated morphisms in every backend.
 """
 
+import json
 import random
 
 import pytest
@@ -318,7 +319,7 @@ def test_strict_iff_middle_arrow_iso(name):
         f = rand_pair(cat, rng)
         c = classify(f)
         assert c.strict == cat.is_iso(decompose(f).fbar)
-        # classify reads mono/epi off decompose's cones; rebuild them fresh
+        # classify reads mono/epi off decompose's legs; check them against the cones
         assert c.mono == cat.is_zero_object(kernel(f).apex)
         assert c.epi == cat.is_zero_object(cokernel(f).apex)
         assert c.is_kernel == (c.mono and c.strict)
@@ -388,6 +389,138 @@ def test_classify_tests_one_iso(name, side, monkeypatch):
         calls.clear()
         classify(f)
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the decomposition against its construction from cones
+
+
+def _cone_decomposition(f):
+    """f = im @ fbar @ coim built from the cones of f, as the definition
+    reads: coim = cok(ker f) and im = ker(cok f), with fbar found through
+    their universal properties; mono and epi are the zero tests of ker f
+    and cok f.  Returns (coim, fbar, im, mono, epi)."""
+    c = f.category
+    kc, cc = c.kernel(f), c.cokernel(f)
+    coim, im = c.cokernel(kc.leg), c.kernel(cc.leg)
+    fbar = im.factor(coim.factor(f))
+    return coim.leg, fbar, im.leg, c.is_zero_object(kc.apex), c.is_zero_object(cc.apex)
+
+
+def _json(f):
+    return json.dumps(f.category.morphism_to_json(f), sort_keys=True)
+
+
+def _bimorphism(cat):
+    """The identity matrix (V, 0) -> (V, V) on a plane."""
+    n = cat.n_layers
+    return cat.make_morphism(cat.obj(2, (Subspace.zero(2),) * n),
+                             cat.obj(2, (Subspace.full(2),) * n), RatMatrix.identity(2))
+
+
+def _decomposition_inputs(cat, rng):
+    """Zero morphisms, identities, isos and seeded morphisms of cat, each
+    also composed with an iso on either side."""
+    for _ in range(40):
+        a, b = _object(cat, rng), _object(cat, rng)
+        f = cat.random_morphism(rng, a, b)
+        yield from (cat.zero_morphism(a, b), cat.identity(a), cat.random_iso(rng, a), f,
+                    cat.random_iso(rng, b) @ f @ cat.random_iso(rng, a))
+
+
+@pytest.mark.parametrize("side", ["base", "op"])
+@pytest.mark.parametrize("name", ALL)
+def test_decompose_matches_the_cone_construction(name, side):
+    cat = _side(name, side)
+    rng = random.Random(f"decompose oracle:{name}:{side}")
+    inputs = list(_decomposition_inputs(cat, rng))
+    if name in ("subvect", "filtvect3"):
+        g = _bimorphism(BACKENDS[name])
+        inputs.append(dualize(g) if side == "op" else g)
+    kinds = set()
+    for f in inputs:
+        d = decompose(f)
+        coim, fbar, im, mono, epi = _cone_decomposition(f)
+        assert (d.coim, d.fbar, d.im, d.mono, d.epi) == (coim, fbar, im, mono, epi)
+        assert [_json(x) for x in (d.coim, d.fbar, d.im)] == [_json(x) for x in (coim, fbar, im)]
+        kinds.add((mono, epi, cat.is_iso(f)))
+    assert {(False, False), (True, False), (False, True), (True, True)} <= \
+        {k[:2] for k in kinds}
+    assert (True, True, True) in kinds
+    if name != "vectq":
+        assert (True, True, False) in kinds  # a bimorphism that is no iso
+
+
+@pytest.mark.parametrize("side", ["base", "op"])
+@pytest.mark.parametrize("name", ALL)
+def test_decompose_of_the_dual_is_the_dual_decomposition(name, side):
+    cat = _side(name, side)
+    rng = random.Random(f"dual decomposition:{name}:{side}")
+    for f in _decomposition_inputs(cat, rng):
+        d, e = decompose(f), decompose(dualize(f))
+        assert (e.coim, e.fbar, e.im) == (dualize(d.im), dualize(d.fbar), dualize(d.coim))
+        assert (e.mono, e.epi) == (d.epi, d.mono)
+
+
+def test_decompose_raises_when_f_does_not_factor(monkeypatch):
+    # a leg that is not f's own: the product check refuses it
+    f = VECTQ.make_morphism(VECTQ.obj(1), VECTQ.obj(2), RatMatrix.from_rows([[1], [0]]))
+    monkeypatch.setattr(VECTQ, "image_data",
+                        lambda f: ((1, ()), RatMatrix.from_rows([[0], [1]])))
+    with pytest.raises(RuntimeError):
+        decompose(f)
+    monkeypatch.undo()
+    g = VECTQ.make_morphism(VECTQ.obj(2), VECTQ.obj(1), RatMatrix.from_rows([[1, 0]]))
+    monkeypatch.setattr(VECTQ, "coimage_data",
+                        lambda f: ((1, ()), RatMatrix.from_rows([[0, 1]])))
+    with pytest.raises(RuntimeError):
+        decompose(g)
+
+
+@pytest.mark.parametrize("name", ["vectq", "subvect", "filtvect3"])
+def test_flag_decomposition_takes_two_eliminations_and_no_cone(name, monkeypatch):
+    """Both legs come off f (rref(f) and rref(f^T)); every further
+    elimination builds one layer of the coimage or image, and the
+    divisions against canonical legs eliminate nothing."""
+    cat = BACKENDS[name]
+    calls = []
+    _count_calls(monkeypatch, linalg, "_rref_pivots", calls)
+    for hook in ("kernel_data", "cokernel_data"):
+        _count_calls(monkeypatch, FlagBackend, hook, calls)
+    rng = random.Random(f"two eliminations:{name}")
+    checked = 0
+    for _ in range(120):
+        f = rand_pair(cat, rng, 4)
+        if f.payload.is_zero() or f.payload.is_identity() and f.dom == f.cod:
+            continue
+        (_, xs), (_, ys) = f.dom.payload, f.cod.payload
+        calls.clear()
+        d = decompose(f)
+        layers = (0 if d.mono else sum(1 for x in xs if x.dim)) + (0 if d.epi else len(ys))
+        assert calls == ["_rref_pivots"] * (2 + layers)
+        checked += 1
+    assert checked > 30
+
+
+def test_latz_decomposition_takes_three_hermite_forms(monkeypatch):
+    """The coimage needs the integer kernel of f and its quotient, the
+    image the saturation of f's image: three HNFs and at most one Smith
+    form, where the four cones took up to five HNFs and two Smith forms."""
+    calls = []
+    _count_calls(monkeypatch, lattice, "column_hnf", calls)
+    _count_calls(monkeypatch, lattice, "smith_with_transforms", calls)
+    rng = random.Random("three hermite forms")
+    checked = 0
+    for _ in range(80):
+        f = rand_pair(LATZ, rng, 4)
+        if f.payload.is_zero() or f.payload.is_identity() and f.dom == f.cod:
+            continue
+        calls.clear()
+        d = decompose(f)
+        assert calls.count("column_hnf") == 3
+        assert calls.count("smith_with_transforms") == (0 if d.mono else 1)
+        checked += 1
+    assert checked > 40
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +631,7 @@ def test_classify_reads_off_identities_and_zero_morphisms(name, side, monkeypatc
     _count_calls(monkeypatch, linalg, "_rref_pivots", calls)
     _count_calls(monkeypatch, lattice, "column_hnf", calls)
     for owner in (FlagBackend, LatZBackend):
-        for hook in ("kernel_data", "cokernel_data"):
+        for hook in ("kernel_data", "cokernel_data", "coimage_data", "image_data"):
             _count_calls(monkeypatch, owner, hook, calls)
     cat = _side(name, side)
     rng = random.Random(f"read off:{name}:{side}")
