@@ -15,6 +15,9 @@ exist everywhere, but a mono epi need not be an iso.
 
 from __future__ import annotations
 
+from math import lcm
+from operator import mul
+
 from ..core import CatObject, ConstraintViolation, Morphism
 from ..linalg import (
     RatMatrix,
@@ -26,6 +29,7 @@ from ..linalg import (
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
+    nested_spans,
     preimage,
     pushforward,
     rank,
@@ -34,10 +38,6 @@ from ..linalg import (
     solve_right,
 )
 from .base import MatrixBackend
-
-
-def _random_matrix(rng, rows: int, cols: int) -> RatMatrix:
-    return RatMatrix(rows, cols, [rng.randint(-3, 3) for _ in range(rows * cols)])
 
 
 def _adapted_columns(dim: int, layers: tuple[Subspace, ...]
@@ -51,7 +51,17 @@ def _adapted_columns(dim: int, layers: tuple[Subspace, ...]
     in the span of those before it.  rref(S) = E S with E p = I, since
     the pivot columns of an rref are the unit vectors in order, so its
     identity block E is p's inverse.
+
+    When every layer is zero or full (always on vectq), p = p_inv = I
+    and no elimination is needed: a zero layer adds no column to S and a
+    full one adds the identity, its canonical basis, so S is [I | ... | I]
+    and its pivot columns are the unit vectors of the first full layer,
+    or of the closing I when there is none.
     """
+    if all(s.dim in (0, dim) for s in layers):
+        first_full = next((i for i, s in enumerate(layers) if s.dim), len(layers))
+        identity = RatMatrix.identity(dim)
+        return identity, identity, [first_full] * dim
     blocks = [s.basis for s in layers] + [RatMatrix.identity(dim)]
     owner = [i for i, b in enumerate(blocks) for _ in range(b.cols)]
     stacked = hstack(*blocks)
@@ -191,6 +201,14 @@ class FlagBackend(MatrixBackend):
 
     # -- generation ------------------------------------------------------------
     def random_object(self, rng, dim_bound: int) -> CatObject:
+        """A seeded object: the zero object, a chain of zero or full layers,
+        or layers spanned by growing blocks of random columns.
+
+        The stream of ``rng`` calls is fixed, here and in
+        :meth:`random_morphism` and :meth:`random_iso`: audit reports,
+        their digests and every seeded test input depend on it, so a
+        change that draws differently changes them all.
+        """
         roll = rng.random()
         if roll < 0.08:
             return self.zero_object()
@@ -200,14 +218,14 @@ class FlagBackend(MatrixBackend):
         elif roll < 0.20:
             layers = tuple(Subspace.full(dim) for _ in range(self.n_layers))
         else:
-            layers = []
-            cur = Subspace.zero(dim)
+            # layer i is spanned by blocks 0..i; every block is drawn, row
+            # by row, even once the layers fill the space
+            blocks = []
             for _ in range(self.n_layers):
                 extra = rng.randint(0, dim)
-                if extra:
-                    cur = Subspace(dim, hstack(cur.basis, _random_matrix(rng, dim, extra)))
-                layers.append(cur)
-            layers = tuple(layers)
+                blocks.append(RatMatrix._of(dim, extra,
+                                            [rng.randint(-3, 3) for _ in range(dim * extra)]))
+            layers = tuple(nested_spans(dim, blocks))
         return CatObject(self, (dim, layers))
 
     def random_morphism(self, rng, a: CatObject, b: CatObject) -> Morphism:
@@ -217,13 +235,24 @@ class FlagBackend(MatrixBackend):
         n, xs = a.payload
         m, ys = b.payload
         _, p_inv, block = _adapted_columns(n, xs)
-        cols = [RatMatrix.zeros(m, 0)]
-        for j in range(n):
-            i = block[j]
-            target = ys[i].basis if i < len(ys) else RatMatrix.identity(m)
-            cols.append(target @ _random_matrix(rng, target.cols, 1))
-        img = hstack(*cols)
-        return Morphism(self, a, b, img @ p_inv)
+        # adapted column j goes to a combination of the basis of layer
+        # block[j] of b, or anywhere when it is outside every layer
+        d = 1
+        for i in set(block):
+            if i < len(ys):
+                d = lcm(d, ys[i].basis._den)
+        cols = []
+        for i in block:
+            if i == len(ys):
+                cols.append([d * rng.randint(-3, 3) for _ in range(m)])
+                continue
+            t = ys[i].basis
+            k, tnum, s = t.cols, t._num, d // t._den
+            coeffs = [rng.randint(-3, 3) for _ in range(k)]
+            cols.append([s * sum(map(mul, tnum[r * k : (r + 1) * k], coeffs))
+                         for r in range(m)])
+        img = RatMatrix._of(m, n, [col[r] for r in range(m) for col in cols], d)
+        return Morphism(self, a, b, img if p_inv.is_identity() else img @ p_inv)
 
     def random_iso(self, rng, a: CatObject) -> Morphism:
         n, xs = a.payload
@@ -235,8 +264,8 @@ class FlagBackend(MatrixBackend):
             t[i][i] = rng.choice((1, -1, 2, -2))
             for j in range(i + 1, n):
                 t[i][j] = rng.randint(-2, 2)
-        tm = RatMatrix(n, n, [x for row in t for x in row])
-        return Morphism(self, a, a, p @ tm @ p_inv)
+        tm = RatMatrix._of(n, n, [x for row in t for x in row])
+        return Morphism(self, a, a, tm if p.is_identity() else p @ tm @ p_inv)
 
     # -- serialization ------------------------------------------------------------
     def object_to_json(self, a: CatObject) -> dict:

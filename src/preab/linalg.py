@@ -331,12 +331,29 @@ def _over_lcm(v: Sequence[int | Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
+def _row_step(row: list[int], pr: list[int], c: int) -> list[int]:
+    """``row`` with column ``c`` cleared by the pivot row ``pr``, divided by its content.
+
+    The result is pr[c]*row - row[c]*pr over the gcd of its entries.
+    """
+    p, f = pr[c], row[c]
+    row = [p * x - f * y for x, y in zip(row, pr)]
+    g = 0
+    for x in row:
+        # pairwise, like _over_lcm; stop once the content is 1
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                break
+    return [x // g for x in row] if g > 1 else row
+
+
 def _rref_pivots(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form together with its pivot columns.
 
     The elimination runs on the numerator rows: row i becomes
-    p*row_i - f*row_r and is then divided by the gcd of its entries.
-    Each stored row stays a non-zero multiple of the row the rational
+    p*row_i - f*row_r and is then divided by the gcd of its entries
+    (:func:`_row_step`, shared with :func:`nested_spans`).  Each stored row stays a non-zero multiple of the row the rational
     elimination would hold, so the pivots are the same, and each pivot
     row over its pivot is a row of the (unique) rref.  The result is
     stored over the lcm of the pivots.
@@ -360,19 +377,9 @@ def _rref_pivots(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pr = rows[r]
-        p = pr[c]
         for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f:
-                row = [p * x - f * y for x, y in zip(rows[i], pr)]
-                g = 0
-                for x in row:
-                    # pairwise, like _over_lcm; stop once the content is 1
-                    if x:
-                        g = gcd(g, x)
-                        if g == 1:
-                            break
-                rows[i] = [x // g for x in row] if g > 1 else row
+            if i != r and rows[i][c]:
+                rows[i] = _row_step(rows[i], pr, c)
         pivots.append(c)
         r += 1
     d = 1
@@ -545,7 +552,9 @@ class Subspace:
           block-diagonal of two canonical bases: the blocks' pivot rows
           do not overlap, so the result is canonical too;
         - ``FlagBackend.drop_coordinate``, which deletes a row that is
-          not a pivot row: the pivot rows keep their lone leading 1s.
+          not a pivot row: the pivot rows keep their lone leading 1s;
+        - :func:`nested_spans`, whose rows are the rref of the columns so
+          far up to a factor each, so over their pivots they are that rref.
         """
         s = object.__new__(cls)
         s.ambient_dim, s.basis = ambient_dim, basis
@@ -637,6 +646,58 @@ def preimage(m: RatMatrix, s: Subspace) -> Subspace:
     k = _kernel_echelon(hstack(m, s.basis))
     return Subspace._canonical(
         m.cols, RatMatrix._of(m.cols, k.cols, k._num[: m.cols * k.cols], k._den))
+
+
+def nested_spans(dim: int, blocks: Sequence[RatMatrix]) -> list[Subspace]:
+    """The span of each initial run of ``blocks``, as canonical subspaces of Q^dim.
+
+    Entry i is ``Subspace(dim, hstack(*blocks[: i + 1]))``, from one
+    elimination in place of one per block.  Each column is absorbed into
+    integer rows that hold the rref of the columns seen so far, up to a
+    non-zero factor per row, as in :func:`_rref_pivots`: the column is
+    cleared at every pivot by the same content-divided row step; what is
+    left, if non-zero, gets its leading entry as a new pivot, and that
+    column is cleared from the other rows.  After a block the rows over
+    their pivots, in pivot order and transposed, are its canonical basis.
+    Columns stop being absorbed once the rank is ``dim``.
+    """
+    rows: dict[int, list[int]] = {}  # pivot column -> row
+    cur = None
+    out = []
+    for b in blocks:
+        if b.rows != dim:
+            raise ValueError("block does not live in the stated ambient space")
+        k, num = b.cols, b._num
+        grew = False
+        for j in range(k):
+            if len(rows) == dim:
+                break
+            # scaling a column by the block's denominator keeps its span
+            v = list(num[j::k])
+            for c, r in rows.items():
+                if v[c]:
+                    v = _row_step(v, r, c)
+            lead = next((c for c, x in enumerate(v) if x), None)
+            if lead is None:
+                continue
+            for c, r in rows.items():
+                if r[lead]:
+                    rows[c] = _row_step(r, v, lead)
+            rows[lead] = v
+            grew = True
+        if grew:
+            pivots = sorted(rows)
+            d = 1
+            for c in pivots:
+                d = lcm(d, rows[c][c])
+            # the factor is negative when the pivot is, so every pivot becomes d
+            scaled = [[x * (d // rows[c][c]) for x in rows[c]] for c in pivots]
+            num = [r[i] for i in range(dim) for r in scaled]
+            cur = Subspace._canonical(dim, RatMatrix._of(dim, len(pivots), num, d))
+        elif cur is None:
+            cur = Subspace.zero(dim)
+        out.append(cur)
+    return out
 
 
 def complement_rows(s: Subspace) -> RatMatrix:

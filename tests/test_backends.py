@@ -131,7 +131,10 @@ def test_subspace_questions_take_one_elimination_each(monkeypatch):
     elimination per question (building a Subspace only to test it, or
     eliminating a basis that is already canonical) shows up.  A layer
     check solves against a canonical basis, which needs no elimination,
-    and a zero layer's pushforward needs none either."""
+    and a zero layer's pushforward needs none either.  Drawing an object
+    needs none (its layers come from one incremental elimination), and
+    neither does the adapted basis of a chain of zero or full layers, so
+    a vectq morphism or iso is drawn with none."""
     calls = []
     real = linalg._rref_pivots
     monkeypatch.setattr(linalg, "_rref_pivots", lambda m: calls.append(m) or real(m))
@@ -151,13 +154,20 @@ def test_subspace_questions_take_one_elimination_each(monkeypatch):
         assert count(ys[-1].contains, ys[0]) == 0
         for y in ys:
             assert count(preimage, f.payload, y) == 1
-        assert count(_adapted_columns, n, xs) == 1
+        trivial = all(x.dim in (0, n) for x in xs)
+        assert count(_adapted_columns, n, xs) == (0 if trivial else 1)
         assert count(linalg.kernel_basis, f.payload) == 1
         assert count(FILTVECT3.kernel_data, f) == 1 + len(xs)
         assert count(FILTVECT3.cokernel_data, f) == 1 + sum(1 for y in ys if y.dim)
         assert count(Subspace.zero, n) == count(Subspace.full, n) == 0
         assert count(FILTVECT3.direct_sum_payload, a.payload, b.payload) == 0
         assert count(FILTVECT3.biproduct, a, b) == 0
+    for _ in range(40):
+        for cat in (VECTQ, SUBVECT, FILTVECT3):
+            assert count(cat.random_object, rng, 6) == 0
+        a, b = VECTQ.random_object(rng, 6), VECTQ.random_object(rng, 6)
+        assert count(VECTQ.random_morphism, rng, a, b) == 0
+        assert count(VECTQ.random_iso, rng, a) == 0
 
 
 def _pivot_rows(s):

@@ -33,6 +33,7 @@ from preab.linalg import (
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
+    nested_spans,
     preimage,
     pushforward,
     rank,
@@ -477,6 +478,46 @@ def test_complement_rows_kernel_is_the_subspace():
         q = complement_rows(s)
         assert q.rows == n - s.dim
         assert kernel_basis(q) == s
+
+
+def _chain_block(rng: random.Random, dim: int) -> RatMatrix:
+    """A generator block for a chain: no columns, zero columns, a
+    rank-deficient product, mixed denominators, or enough columns to fill."""
+    k = rng.randint(0, dim + 2)
+    kind = rng.choice(("empty", "zero", "deficient", "rational", "filling"))
+    if kind == "empty":
+        return RatMatrix.zeros(dim, 0)
+    if kind == "zero":
+        return RatMatrix.zeros(dim, k)
+    if kind == "deficient":
+        r = rng.randint(0, max(dim - 1, 0))
+        return _random_matrix(rng, dim, r) @ _random_matrix(rng, r, k)
+    if kind == "rational":
+        return _random_rational_matrix(rng, dim, k)
+    return _random_matrix(rng, dim, dim + rng.randint(0, 2))
+
+
+def test_nested_spans_match_stacked_spans():
+    """Each entry is the canonical span of the blocks so far, as a fresh
+    elimination of the stacked blocks gives it."""
+    rng = random.Random("nested spans")
+    seen = set()
+    for _ in range(400):
+        dim = rng.randint(0, 6)
+        blocks = [_chain_block(rng, dim) for _ in range(rng.randint(0, 4))]
+        spans = nested_spans(dim, blocks)
+        assert len(spans) == len(blocks)
+        for i, s in enumerate(spans):
+            assert s == Subspace(dim, hstack(*blocks[: i + 1]))
+        if dim == 0:
+            seen.add("dim 0")
+        if any(s.dim == dim > 0 for s in spans[:-1]):
+            seen.add("filled before the last block")
+        if any(b.cols and s.dim == t.dim for b, s, t in zip(blocks[1:], spans, spans[1:])):
+            seen.add("a block adding columns but no dimension")
+    assert len(seen) == 3
+    with pytest.raises(ValueError):
+        nested_spans(2, [RatMatrix.zeros(3, 1)])
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
