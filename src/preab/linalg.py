@@ -331,21 +331,25 @@ def _over_lcm(v: Sequence[int | Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
-def _row_step(row: list[int], pr: list[int], c: int) -> list[int]:
-    """``row`` with column ``c`` cleared by the pivot row ``pr``, divided by its content.
+def _clear_column(rows: list[list[int]], pr: list[int], c: int) -> None:
+    """Clear column ``c`` of every row in ``rows`` but ``pr`` itself, in place.
 
-    The result is pr[c]*row - row[c]*pr over the gcd of its entries.
+    Row i becomes pr[c]*row_i - row_i[c]*pr, divided by the gcd of its
+    entries, so it stays a non-zero multiple of the rational row.
     """
-    p, f = pr[c], row[c]
-    row = [p * x - f * y for x, y in zip(row, pr)]
-    g = 0
-    for x in row:
-        # pairwise, like _over_lcm; stop once the content is 1
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                break
-    return [x // g for x in row] if g > 1 else row
+    p = pr[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and row is not pr:
+            row = [p * x - f * y for x, y in zip(row, pr)]
+            g = 0
+            for x in row:
+                # pairwise, like _over_lcm; stop once the content is 1
+                if x:
+                    g = gcd(g, x)
+                    if g == 1:
+                        break
+            rows[i] = [x // g for x in row] if g > 1 else row
 
 
 def _rref_pivots(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
@@ -353,7 +357,8 @@ def _rref_pivots(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
 
     The elimination runs on the numerator rows: row i becomes
     p*row_i - f*row_r and is then divided by the gcd of its entries
-    (:func:`_row_step`, shared with :func:`nested_spans`).  Each stored row stays a non-zero multiple of the row the rational
+    (:func:`_clear_column`, shared with :func:`nested_spans`).  Each
+    stored row stays a non-zero multiple of the row the rational
     elimination would hold, so the pivots are the same, and each pivot
     row over its pivot is a row of the (unique) rref.  The result is
     stored over the lcm of the pivots.
@@ -376,10 +381,7 @@ def _rref_pivots(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pr = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                rows[i] = _row_step(rows[i], pr, c)
+        _clear_column(rows, rows[r], c)
         pivots.append(c)
         r += 1
     d = 1
@@ -661,7 +663,8 @@ def nested_spans(dim: int, blocks: Sequence[RatMatrix]) -> list[Subspace]:
     their pivots, in pivot order and transposed, are its canonical basis.
     Columns stop being absorbed once the rank is ``dim``.
     """
-    rows: dict[int, list[int]] = {}  # pivot column -> row
+    pivots: list[int] = []
+    rows: list[list[int]] = []  # rows[t] has its pivot in column pivots[t]
     cur = None
     out = []
     for b in blocks:
@@ -673,27 +676,26 @@ def nested_spans(dim: int, blocks: Sequence[RatMatrix]) -> list[Subspace]:
             if len(rows) == dim:
                 break
             # scaling a column by the block's denominator keeps its span
-            v = list(num[j::k])
-            for c, r in rows.items():
-                if v[c]:
-                    v = _row_step(v, r, c)
+            new = [list(num[j::k])]
+            for c, r in zip(pivots, rows):
+                _clear_column(new, r, c)
+            v = new[0]
             lead = next((c for c, x in enumerate(v) if x), None)
             if lead is None:
                 continue
-            for c, r in rows.items():
-                if r[lead]:
-                    rows[c] = _row_step(r, v, lead)
-            rows[lead] = v
+            _clear_column(rows, v, lead)
+            pivots.append(lead)
+            rows.append(v)
             grew = True
         if grew:
-            pivots = sorted(rows)
+            order = sorted(range(len(rows)), key=pivots.__getitem__)
             d = 1
-            for c in pivots:
-                d = lcm(d, rows[c][c])
+            for t in order:
+                d = lcm(d, rows[t][pivots[t]])
             # the factor is negative when the pivot is, so every pivot becomes d
-            scaled = [[x * (d // rows[c][c]) for x in rows[c]] for c in pivots]
+            scaled = [[x * (d // rows[t][pivots[t]]) for x in rows[t]] for t in order]
             num = [r[i] for i in range(dim) for r in scaled]
-            cur = Subspace._canonical(dim, RatMatrix._of(dim, len(pivots), num, d))
+            cur = Subspace._canonical(dim, RatMatrix._of(dim, len(order), num, d))
         elif cur is None:
             cur = Subspace.zero(dim)
         out.append(cur)
