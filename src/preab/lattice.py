@@ -2,11 +2,15 @@
 
 Finitely generated subgroups of Z^n are represented by a basis matrix
 in a column-style Hermite normal form, which is unique per subgroup and
-therefore usable for equality tests.  The same Hermite form computes
-integer kernels, and through them saturations; the Smith normal form
-(with its row transform) supplies torsion-free quotient projections.
-Together they take kernels and cokernels of integer matrices inside the
-category of finitely generated free abelian groups.
+therefore usable for equality tests.  One Hermite core computes it, for
+:func:`column_hnf` and for integer kernels.  An integer kernel takes two
+phases on the columns of [m; I]: gcd column steps clear the rows of m
+and set aside each column that takes a pivot, and the core then puts
+the bottom parts of the other columns, a Z-basis of the kernel, into
+Hermite form.  Kernels give saturations; the Smith normal form (with its
+row transform) supplies torsion-free quotient projections.  Together
+they take kernels and cokernels of integer matrices inside the category
+of finitely generated free abelian groups.
 
 All matrices are :class:`preab.linalg.RatMatrix` values with
 denominator 1; the routines read and build their integer numerators
@@ -15,18 +19,64 @@ directly, and everything stays exact.
 
 from __future__ import annotations
 
-from .linalg import RatMatrix, solve_right, vstack
+from .linalg import RatMatrix, solve_right
+
+
+def _numerators(m: RatMatrix) -> tuple[int, ...]:
+    if not m.is_integral():
+        raise ValueError("matrix has non-integer entries")
+    return m._num
 
 
 def _int_grid(m: RatMatrix) -> list[list[int]]:
-    if not m.is_integral():
-        raise ValueError("matrix has non-integer entries")
-    num, n = m._num, m.cols
+    num, n = _numerators(m), m.cols
     return [list(num[i * n : (i + 1) * n]) for i in range(m.rows)]
 
 
 def _grid_matrix(grid: list[list[int]], rows: int, cols: int) -> RatMatrix:
     return RatMatrix._of(rows, cols, [x for row in grid for x in row])
+
+
+def _gcd_row(cols: list[list[int]], start: int, i: int) -> int | None:
+    """Gcd-eliminate row ``i`` across ``cols[start:]`` by integer column
+    steps; return the index of the one column left nonzero there, if any."""
+    while True:
+        active = [j for j in range(start, len(cols)) if cols[j][i]]
+        if len(active) <= 1:
+            return active[0] if active else None
+        jmin = min(active, key=lambda j: abs(cols[j][i]))
+        pivot = cols[jmin][i]
+        for j in active:
+            if j != jmin:
+                q = cols[j][i] // pivot
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[jmin])]
+
+
+def _hnf_cols(cols: list[list[int]], nrows: int) -> RatMatrix:
+    """Column Hermite form of the integer columns ``cols`` of height ``nrows``.
+
+    Consumes ``cols``.  Row by row: gcd-eliminate the row across the
+    columns not yet holding a pivot, move the survivor into place, make
+    its pivot positive and reduce the entries to its left into [0, pivot).
+    """
+    done = 0
+    for i in range(nrows):
+        j = _gcd_row(cols, done, i)
+        if j is None:
+            continue
+        c = cols[j]
+        cols[j] = cols[done]
+        if c[i] < 0:
+            c = [-a for a in c]
+        cols[done] = c
+        pivot = c[i]
+        for k in range(done):
+            q = cols[k][i] // pivot  # floor division puts the entry in [0, pivot)
+            if q:
+                cols[k] = [a - q * b for a, b in zip(cols[k], c)]
+        done += 1
+    kept = cols[:done]
+    return RatMatrix._of(nrows, done, [c[i] for i in range(nrows) for c in kept])
 
 
 def column_hnf(m: RatMatrix) -> RatMatrix:
@@ -37,53 +87,36 @@ def column_hnf(m: RatMatrix) -> RatMatrix:
     entries to the left of a pivot reduced into [0, pivot).  It depends
     only on the generated subgroup, so it decides lattice equality.
     """
-    nrows, ncols = m.rows, m.cols
-    cols = _int_grid(m.transpose())
-    done = 0
-    for i in range(nrows):
-        active = [j for j in range(done, ncols) if cols[j][i] != 0]
-        if not active:
-            continue
-        # gcd-eliminate row i across the active columns
-        while True:
-            active = [j for j in range(done, ncols) if cols[j][i] != 0]
-            if len(active) <= 1:
-                break
-            jmin = min(active, key=lambda j: abs(cols[j][i]))
-            pivot = cols[jmin][i]
-            for j in active:
-                if j == jmin:
-                    continue
-                q = cols[j][i] // pivot
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[jmin])]
-        j = [j for j in range(done, ncols) if cols[j][i] != 0][0]
-        cols[done], cols[j] = cols[j], cols[done]
-        if cols[done][i] < 0:
-            cols[done] = [-a for a in cols[done]]
-        pivot = cols[done][i]
-        for j in range(done):
-            q = cols[j][i] // pivot  # floor division puts the entry in [0, pivot)
-            if q:
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[done])]
-        done += 1
-    kept = cols[:done]
-    return RatMatrix._of(nrows, done, [c[i] for i in range(nrows) for c in kept])
+    num, n = _numerators(m), m.cols
+    return _hnf_cols([list(num[j::n]) for j in range(n)], m.rows)
 
 
 def integer_kernel(m: RatMatrix) -> RatMatrix:
-    """Z-basis of {x in Z^cols : m @ x == 0}, as the columns of a matrix.
+    """Z-basis of {x in Z^cols : m @ x == 0}, in column Hermite form.
 
-    The column Hermite form of [m; I] is [m; I] @ w for a unimodular w
-    (no column is dropped, since [m; I] has full column rank).  Its
-    columns whose top block is zero carry a basis of the kernel in their
-    bottom block (Cohen, A Course in Computational Algebraic Number
-    Theory, 2.4.3).
+    Two phases on the columns of [m; I].  First each row of m is
+    gcd-eliminated across the columns that hold no pivot yet, and a
+    column that takes a pivot is set aside untouched.  The column steps
+    are unimodular and the pivot columns' top parts are independent, so
+    the kernel vectors lie exactly in the span of the columns without a
+    pivot: their bottom parts are a Z-basis of the kernel, and its
+    Hermite form is returned (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4.3).
+
+    >>> integer_kernel(RatMatrix.from_rows([[2, 4]]))
+    RatMatrix[2; -1]
     """
-    h = column_hnf(vstack(m, RatMatrix.identity(m.cols)))
-    num, n, top = h._num, h.cols, m.rows * h.cols
-    keep = [j for j in range(n) if not any(num[j:top:n])]
-    return RatMatrix._of(m.cols, len(keep),
-                         [num[top + i * n + j] for i in range(m.cols) for j in keep])
+    r, n, num = m.rows, m.cols, _numerators(m)
+    if not any(num):
+        return RatMatrix.identity(n)
+    cols = [list(num[j::n]) + [0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]
+    done = 0
+    for i in range(r):
+        j = _gcd_row(cols, done, i)
+        if j is not None:
+            cols[j] = cols[done]  # the pivot column is set aside for good
+            done += 1
+    return _hnf_cols([c[r:] for c in cols[done:]], n)
 
 
 def smith_with_transforms(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix]:

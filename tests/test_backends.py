@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from preab import BACKENDS, ConstraintViolation, classify, get_backend, lattice, linalg
-from preab.backends import FILTVECT3, LATZ, SUBVECT, VECTQ
+from preab.backends import FILTVECT3, LATZ, SUBVECT, VECTQ, latz
 from preab.backends.flags import _adapted_columns
 from preab.core import Opposite
 from preab.linalg import RatMatrix, Subspace, invert, preimage, pushforward, solve_right
@@ -204,10 +204,11 @@ def test_drop_coordinate_matches_respanning(name, monkeypatch):
 def test_latz_cokernel_takes_two_hermite_forms(monkeypatch):
     """The saturation of the image is the integer kernel of its
     annihilator, already in column Hermite form, so one cokernel needs
-    two HNFs; the leg equals the quotient of saturate's lattice."""
+    two integer kernels, each at most one HNF of its kernel block;
+    the leg equals the quotient of saturate's lattice."""
     calls = []
-    real = lattice.column_hnf
-    monkeypatch.setattr(lattice, "column_hnf", lambda m: calls.append(m) or real(m))
+    real = latz.integer_kernel
+    monkeypatch.setattr(latz, "integer_kernel", lambda m: calls.append(m) or real(m))
     rng = random.Random("latz cokernel hnfs")
     for _ in range(200):
         m, n = rng.randint(0, 4), rng.randint(0, 4)

@@ -28,7 +28,7 @@ from preab import (
     quotient_iso,
     subobject_iso,
 )
-from preab.backends import FILTVECT3, LATZ, SUBVECT, VECTQ
+from preab.backends import FILTVECT3, LATZ, SUBVECT, VECTQ, latz
 from preab.backends.flags import FlagBackend
 from preab.backends.latz import LatZBackend
 from preab.core import (
@@ -504,10 +504,11 @@ def test_flag_decomposition_takes_two_eliminations_and_no_cone(name, monkeypatch
 
 def test_latz_decomposition_takes_three_hermite_forms(monkeypatch):
     """The coimage needs the integer kernel of f and its quotient, the
-    image the saturation of f's image: three HNFs and at most one Smith
-    form, where the four cones took up to five HNFs and two Smith forms."""
+    image the saturation of f's image: three integer kernels, each at
+    most one HNF of its kernel block, and at most one Smith form,
+    where the four cones took up to five HNFs and two Smith forms."""
     calls = []
-    _count_calls(monkeypatch, lattice, "column_hnf", calls)
+    _count_calls(monkeypatch, latz, "integer_kernel", calls)
     _count_calls(monkeypatch, lattice, "smith_with_transforms", calls)
     rng = random.Random("three hermite forms")
     checked = 0
@@ -517,7 +518,7 @@ def test_latz_decomposition_takes_three_hermite_forms(monkeypatch):
             continue
         calls.clear()
         d = decompose(f)
-        assert calls.count("column_hnf") == 3
+        assert calls.count("integer_kernel") == 3
         assert calls.count("smith_with_transforms") == (0 if d.mono else 1)
         checked += 1
     assert checked > 40

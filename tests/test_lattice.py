@@ -1,11 +1,14 @@
 """Integer lattice tests: Hermite form, integer kernels, Smith form, saturation.
 
 Frozen cases were computed by hand; randomized sections cross-check
-against sympy's normal form routines, which share no code with ours.
+against sympy's normal form routines, which share no code with ours,
+and against reference copies of the one-loop Hermite form and of the
+kernel read off the Hermite form of [m; I].
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +25,7 @@ from preab.lattice import (
     saturate,
     smith_with_transforms,
 )
-from preab.linalg import RatMatrix, invert, matrix_from_json, matrix_to_json, rank
+from preab.linalg import RatMatrix, invert, matrix_from_json, matrix_to_json, rank, vstack
 
 
 def _m(rows, cols=None):
@@ -184,14 +187,16 @@ def test_smith_divisors_match_sympy():
 
 def test_integer_kernel_matches_sympy():
     rng = random.Random(131)
-    for _ in range(60):
-        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
-        m = _random_int_matrix(rng, rows, cols)
+    generic = (_random_int_matrix(rng, rng.randint(0, 5), rng.randint(0, 5)) for _ in range(60))
+    for m in itertools.chain(generic, _oracle_matrices(151, 120)):
         k = integer_kernel(m)
-        assert k.rows == cols and k.is_integral()
+        assert k.rows == m.cols and k.is_integral()
         assert (m @ k).is_zero()
-        sy = sympy.Matrix(rows, cols, lambda i, j: int(m.entry(i, j)))
-        assert k.cols == cols - sy.rank()
+        sy = sympy.Matrix(m.rows, m.cols, lambda i, j: int(m.entry(i, j)))
+        nullity = len(sy.nullspace())
+        assert k.cols == nullity == m.cols - sy.rank()
+        if nullity:
+            assert sympy.Matrix(k.rows, k.cols, lambda i, j: int(k.entry(i, j))).rank() == nullity
         # a Z-basis of the kernel, not a finite-index sublattice of it
         assert all(x == 1 for x in elementary_divisors(k))
 
@@ -265,3 +270,100 @@ def test_quotient_rows_properties():
 def test_lattice_json_round_trip():
     l = _lat(3, (2, 1, 0), (0, 0, 5))
     assert lattice_from_json(lattice_to_json(l)) == l
+
+
+# ------------------------------------------------------ reference oracles
+
+def _reference_column_hnf(m):
+    """Column Hermite form as a single loop over all columns, the form
+    the shared Hermite core must reproduce byte for byte."""
+    nrows, ncols = m.rows, m.cols
+    cols = [[int(x) for x in m.column(j)] for j in range(ncols)]
+    done = 0
+    for i in range(nrows):
+        active = [j for j in range(done, ncols) if cols[j][i] != 0]
+        if not active:
+            continue
+        # gcd-eliminate row i across the active columns
+        while True:
+            active = [j for j in range(done, ncols) if cols[j][i] != 0]
+            if len(active) <= 1:
+                break
+            jmin = min(active, key=lambda j: abs(cols[j][i]))
+            pivot = cols[jmin][i]
+            for j in active:
+                if j == jmin:
+                    continue
+                q = cols[j][i] // pivot
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[jmin])]
+        j = [j for j in range(done, ncols) if cols[j][i] != 0][0]
+        cols[done], cols[j] = cols[j], cols[done]
+        if cols[done][i] < 0:
+            cols[done] = [-a for a in cols[done]]
+        pivot = cols[done][i]
+        for j in range(done):
+            q = cols[j][i] // pivot
+            if q:
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[done])]
+        done += 1
+    kept = cols[:done]
+    return RatMatrix(nrows, done, [c[i] for i in range(nrows) for c in kept])
+
+
+def _reference_kernel(m):
+    """The columns of the Hermite form of [m; I] with zero top block
+    carry a basis of the kernel of m in their bottom block."""
+    h = _reference_column_hnf(vstack(m, RatMatrix.identity(m.cols)))
+    keep = [j for j in range(h.cols) if not any(h.column(j)[: m.rows])]
+    return RatMatrix.from_columns([h.column(j)[m.rows :] for j in keep], rows=m.cols)
+
+
+def _identical(a, b):
+    return a.shape == b.shape and a._num == b._num and a._den == b._den
+
+
+def _oracle_matrices(seed, count):
+    """Integer matrices of every shape class the kernel and the Hermite
+    form branch on, with entries up to 10^6 in size."""
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 4), (4, 2)):
+        yield RatMatrix.zeros(rows, cols)
+    rng = random.Random(seed)
+    for i in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        span = (1, 4, 40, 10**6)[i % 4]
+        kind = i % 3
+        if kind == 0:  # generic
+            m = _random_int_matrix(rng, rows, cols, span)
+        elif kind == 1:  # duplicated and scaled rows
+            base = _random_int_matrix(rng, rng.randint(1, rows), cols, span)
+            picks = [rng.randrange(base.rows) for _ in range(rows)]
+            m = RatMatrix.from_rows(
+                [[rng.choice((-3, -1, 1, 2)) * x for x in base.row(p)] for p in picks])
+        else:  # full column rank: a triangle with nonzero diagonal on top
+            cols = min(rows, cols)
+            top = [[rng.randint(1, span) * rng.choice((-1, 1)) if a == b else
+                    rng.randint(-span, span) if a < b else 0 for b in range(cols)]
+                   for a in range(cols)]
+            rest = [[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows - cols)]
+            grid = top + rest
+            rng.shuffle(grid)
+            m = RatMatrix.from_rows(grid, cols=cols)
+            assert rank(m) == cols
+        yield m
+
+
+def test_integer_kernel_matches_reference_kernel():
+    for m in _oracle_matrices(139, 600):
+        assert _identical(integer_kernel(m), _reference_kernel(m))
+
+
+def test_column_hnf_matches_reference_hnf():
+    for m in _oracle_matrices(149, 600):
+        for g in (m, m.transpose()):
+            assert _identical(column_hnf(g), _reference_column_hnf(g))
+
+
+def test_integer_kernel_rejects_non_integral_input():
+    for f in (integer_kernel, column_hnf):
+        with pytest.raises(ValueError):
+            f(_m([[1, "1/2"]]))
