@@ -57,10 +57,6 @@ CONDITION_NAMES = tuple(str(c) for c in ALL_CONDITIONS)
 EXTRA_SAMPLE_KEYS = ("strictness", "semistable")
 KNOWN_SAMPLE_KEYS = frozenset(CONDITION_NAMES) | set(EXTRA_SAMPLE_KEYS) | {"default"}
 
-VERDICTS = ("abelian-consistent", "quasi-abelian-consistent",
-            "semi-abelian-consistent", "left-only", "right-only",
-            "preabelian-only", "inconclusive")
-
 WITNESS_CAP = 3  # shrunk witnesses kept per failing check
 GENERATION_RETRIES = 5
 # the largest dim_bound a config may set.  Audit time grows steeply with
@@ -463,20 +459,14 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
             else:
                 probe_tally[role]["failures"] += 1
                 if len(probe_failures) < WITNESS_CAP:
-                    probe_failures.append((role, res))
+                    probe_failures.append(("semistable", {"role": role}, res))
 
+    # (check, extra witness keys, failing result), conditions first
+    to_shrink = [(name, {}, res) for name in CONDITION_NAMES for res in failures[name]]
     witnesses = []
-    for cond_name in CONDITION_NAMES:
-        for res in failures[cond_name]:
-            small, spent = shrink(res, cfg.shrink_budget)
-            witnesses.append({"check": cond_name,
-                              "result": small.to_json(),
-                              "original_instance": res.instance.to_json(),
-                              "shrink_checks_used": spent})
-    for role, res in probe_failures:
+    for check, extra, res in to_shrink + probe_failures:
         small, spent = shrink(res, cfg.shrink_budget)
-        witnesses.append({"check": "semistable",
-                          "role": role,
+        witnesses.append({"check": check, **extra,
                           "result": small.to_json(),
                           "original_instance": res.instance.to_json(),
                           "shrink_checks_used": spent})

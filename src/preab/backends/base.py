@@ -81,8 +81,7 @@ class MatrixBackend(Category):
 
     A biproduct A (+) B puts A's coordinates first.  Its ``pair`` and
     ``copair`` stack the legs' matrices and its splits slice a matrix's
-    rows or columns, with no product through a 0/1 matrix; the injections
-    and projections are :class:`~preab.core.Biproduct`'s own.
+    rows or columns, with no product through a 0/1 matrix.
 
     Zero morphisms and identities are answered from the universal
     property, with no elimination and no hook call: the kernel of

@@ -195,16 +195,9 @@ class SquareInstance:
 
     Pushout squares serialize by their generating span (left and top
     edges) and pullback squares by their generating cospan, and replay
-    rebuilds the canonical square of that span or cospan.  That is the
-    identical square when :func:`~preab.core.pushout` or
-    :func:`~preab.core.pullback` built it in the category it serializes
-    from.  A pullback made by dualizing a pushout of the opposite
-    category (the base-side ``left.iii``, ``iv``, ``v`` and ``vii``
-    instances the audit generates, see :func:`~preab.core.dualize_square`)
-    replays, and rebuilds after a shrink edit, as an isomorphic square
-    whose apex orders its biproduct summands the other way round.  Every
-    check is invariant under that isomorphism, so the verdict replays,
-    but a witness's matrices (a mediator, say) may differ.
+    rebuilds the canonical square of that span or cospan: the identical
+    square, also for a pullback dualized from a pushout of the opposite
+    category (see :func:`~preab.core.dualize_square`).
     """
 
     square: Square

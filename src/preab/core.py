@@ -18,7 +18,6 @@ is an isomorphism.  See :func:`subobject_iso` and :func:`quotient_iso`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Optional
 
 
@@ -119,8 +118,9 @@ class Biproduct:
     """A biproduct A (+) B, the object ``ob``, with its structural maps.
 
     ``category``, ``a`` and ``b`` name the category and the summands.
-    Every construction here goes through four maps, which a category
-    defines without composing through the injections and projections:
+    With inj1, inj2 and proj1, proj2 the biproduct's injections and
+    projections, a category defines four maps without composing through
+    them:
 
     - ``pair(f, g)``, for f: X -> A and g: X -> B, is the map
       X -> A (+) B equal to inj1 @ f + inj2 @ g;
@@ -129,10 +129,9 @@ class Biproduct:
     - ``split_out(h)``, for h out of A (+) B, is (h @ inj1, h @ inj2);
     - ``split_in(h)``, for h into A (+) B, is (proj1 @ h, proj2 @ h).
 
-    Each raises ValueError when a leg does not fit.  The injections
-    ``inj1 = pair(id, 0)``, ``inj2 = pair(0, id)`` and projections
-    ``proj1 = copair(id, 0)``, ``proj2 = copair(0, id)`` are derived
-    here once, and built only when a caller reads them.
+    Each raises ValueError when a leg does not fit.  The injections are
+    ``pair(id, 0)`` and ``pair(0, id)``, the projections ``copair(id, 0)``
+    and ``copair(0, id)``.
     """
 
     category: "Category"
@@ -140,53 +139,35 @@ class Biproduct:
     b: CatObject
     ob: CatObject
 
-    @cached_property
-    def inj1(self) -> Morphism:
-        c = self.category
-        return self.pair(c.identity(self.a), c.zero_morphism(self.a, self.b))
-
-    @cached_property
-    def inj2(self) -> Morphism:
-        c = self.category
-        return self.pair(c.zero_morphism(self.b, self.a), c.identity(self.b))
-
-    @cached_property
-    def proj1(self) -> Morphism:
-        c = self.category
-        return self.copair(c.identity(self.a), c.zero_morphism(self.b, self.a))
-
-    @cached_property
-    def proj2(self) -> Morphism:
-        c = self.category
-        return self.copair(c.zero_morphism(self.a, self.b), c.identity(self.b))
-
 
 class _OppositeBiproduct(Biproduct):
-    """A biproduct of an opposite category: each map is the base
-    biproduct's dual map (pair and copair trade places, as do split_out
-    and split_in)."""
+    """A (+) B in an opposite category: the base biproduct B (+) A read
+    backwards.  Pair and copair trade places, as do split_out and
+    split_in, and each swaps its legs.  So the dual of a pushout of the
+    opposite category is exactly the base pullback of the dual cospan,
+    and conversely (see :func:`dualize_square`)."""
 
-    def __init__(self, op: "Opposite", base: Biproduct):
-        self._base = base
-        self.category, self.a, self.b = op, op._obj(base.a), op._obj(base.b)
-        self.ob = op._obj(base.ob)
+    def __init__(self, op: "Opposite", a: CatObject, b: CatObject):
+        self._base = op.base.biproduct(op._base_obj(b), op._base_obj(a))
+        self.category, self.a, self.b = op, a, b
+        self.ob = op._obj(self._base.ob)
 
     def pair(self, f: Morphism, g: Morphism) -> Morphism:
         op = self.category
-        return op.wrap(self._base.copair(op.unwrap(f), op.unwrap(g)))
+        return op.wrap(self._base.copair(op.unwrap(g), op.unwrap(f)))
 
     def copair(self, f: Morphism, g: Morphism) -> Morphism:
         op = self.category
-        return op.wrap(self._base.pair(op.unwrap(f), op.unwrap(g)))
+        return op.wrap(self._base.pair(op.unwrap(g), op.unwrap(f)))
 
     def split_out(self, h: Morphism) -> tuple[Morphism, Morphism]:
         op = self.category
-        u, v = self._base.split_in(op.unwrap(h))
+        v, u = self._base.split_in(op.unwrap(h))
         return op.wrap(u), op.wrap(v)
 
     def split_in(self, h: Morphism) -> tuple[Morphism, Morphism]:
         op = self.category
-        u, v = self._base.split_out(op.unwrap(h))
+        v, u = self._base.split_out(op.unwrap(h))
         return op.wrap(u), op.wrap(v)
 
 
@@ -327,13 +308,14 @@ class Category:
     ``is_zero_object``, ``identity``, ``zero_morphism``,
     ``is_zero_morphism``, ``compose(g, f)`` (``g @ f``), ``add``,
     ``negate``, ``biproduct(a, b)`` (a :class:`Biproduct` defining the
-    maps ``pair``, ``copair``, ``split_out`` and ``split_in``; it
-    derives the injections and projections), ``kernel`` and
-    ``cokernel`` (each a :class:`Cone`), ``decompose`` (the
-    :class:`Decomposition` of a morphism), ``is_iso``, the generators
+    maps ``pair``, ``copair``, ``split_out`` and ``split_in``),
+    ``kernel`` and ``cokernel`` (each a :class:`Cone`), ``decompose``
+    (the :class:`Decomposition` of a morphism), ``is_iso``, the generators
     ``random_object(rng, dim_bound)``, ``random_morphism(rng, a, b)`` and
-    ``random_iso(rng, a)``, and the JSON pairs ``object_to_json`` /
-    ``object_from_json`` and ``morphism_to_json`` / ``morphism_from_json``.
+    ``random_iso(rng, a)``, and ``object_to_json`` and ``morphism_to_json``.
+    A backend also parses JSON with ``object_from_json`` and
+    ``morphism_from_json``; instances serialize on the base side only, so
+    :class:`Opposite` does not.
     ``make_object`` and ``make_morphism`` raise :class:`ConstraintViolation`
     on data that breaks the structure.  ``divide_left(g, h)`` returns some
     x with g @ x == h, or None, and x is unique when g is mono;
@@ -359,8 +341,6 @@ class Category:
 
 def opposite(c: Category) -> Category:
     """The opposite category; an involution (op of op is the original)."""
-    if isinstance(c, Opposite):
-        return c.base
     return c.opposite()
 
 
@@ -422,7 +402,7 @@ class Opposite(Category):
         return self.wrap(self.base.negate(self.unwrap(f)))
 
     def biproduct(self, a, b):
-        return _OppositeBiproduct(self, self.base.biproduct(self._base_obj(a), self._base_obj(b)))
+        return _OppositeBiproduct(self, a, b)
 
     # limits
     def _dual_cone(self, cone: Cone, of: Morphism, kind: str) -> Cone:
@@ -473,14 +453,8 @@ class Opposite(Category):
     def object_to_json(self, a):
         return self.base.object_to_json(self._base_obj(a))
 
-    def object_from_json(self, blob):
-        return self._obj(self.base.object_from_json(blob))
-
     def morphism_to_json(self, f):
         return self.base.morphism_to_json(self.unwrap(f))
-
-    def morphism_from_json(self, blob):
-        return self.wrap(self.base.morphism_from_json(blob))
 
     def opposite(self):
         return self.base
@@ -499,10 +473,10 @@ def dualize_square(sq: Square) -> Square:
     """Transport a square across duality.
 
     Top and bottom trade places (dualized), as do left and right;
-    pushout squares become pullback squares and conversely.  The result
-    is a pullback (pushout) of its cospan (span), but in general not the
-    canonical one: its apex takes the biproduct summands in the other
-    order.
+    pushout squares become pullback squares and conversely.  The dual of
+    the canonical pushout (pullback) is the canonical pullback (pushout)
+    of the dual cospan (span): an opposite biproduct is the base one read
+    backwards, and the canonical cones of -h are those of h.
     """
     flip = {"pushout": "pullback", "pullback": "pushout"}
     return Square(

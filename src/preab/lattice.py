@@ -182,8 +182,8 @@ def smith_with_transforms(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix
                     if a[t][j]:
                         col_swap(t, j)
                         dirty = True
-            if not dirty and all(a[i][t] == 0 for i in range(t + 1, nrows)) \
-                    and all(a[t][j] == 0 for j in range(t + 1, ncols)):
+            # with no swap, every op cleared its entry: column t and row t are zero
+            if not dirty:
                 break
         if a[t][t] < 0:
             row_negate(t)

@@ -57,14 +57,14 @@ def _documents(name):
     alpha = cat.random_morphism(rng, f.dom, cat.random_object(rng, 2))
     t = cat.random_morphism(rng, cat.random_object(rng, 2), f.cod)
     ident = cat.identity(f.dom)
-    probe = cat.biproduct(f.dom, f.cod)
+    inj1 = cat.biproduct(f.dom, f.cod).pair(ident, cat.zero_morphism(f.dom, f.cod))
     instances = [
         MorphismInstance(f),
         PairInstance(outer=f, inner=g),
         SquareInstance(pushout(alpha, f)),
         SquareInstance(pullback(f, t)),
         SquareInstance(Square(top=ident, left=ident, bottom=ident, right=ident)),
-        ProbeInstance(role="kernel", f=probe.inj1, along=probe.proj1 @ probe.inj1),
+        ProbeInstance(role="kernel", f=inj1, along=ident),
     ]
     return [json.loads(json.dumps(inst.to_json())) for inst in instances]
 
