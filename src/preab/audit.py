@@ -284,80 +284,75 @@ def shrink(result: CheckResult, budget: int = 200) -> tuple[CheckResult, int]:
     """Greedily minimize a failing check's instance.
 
     Moves, in order: delete an ambient coordinate anywhere in the
-    instance; zero a matrix entry; replace a remaining entry by +-1.
-    A move is kept only when the edited instance still fails the same
-    check.  Returns the minimized result and the number of checker
-    invocations spent; budget caps those invocations.
+    instance, starting over after each kept deletion; zero a matrix
+    entry; replace a remaining entry by +-1.  A move is kept only when
+    the edited instance still fails the same check.  A move that cannot
+    be built costs nothing; every other costs one checker invocation,
+    and budget caps those.  Returns the minimized result and the number
+    of invocations spent.
+
+    >>> latz = get_backend("latz")
+    >>> f = latz.make_morphism(latz.make_object(3), latz.make_object(3),
+    ...                        RatMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    >>> small, spent = shrink(run_check("strict", MorphismInstance(f)))
+    >>> small.instance.to_json()["morphism"]["matrix"]["entries"], spent
+    ([['2']], 14)
     """
     if result.verdict != FAIL:
         raise ValueError("only failing results can be shrunk")
-    check = result.check
-    current = result
-    spent = 0
+    current, spent = result, 0
 
-    def attempt(candidate_builder):
-        nonlocal spent
-        if spent >= budget:
-            return None
+    def kept(rebuild, ps, ms) -> bool:
+        """Check the edited instance; make it current if it still fails."""
+        nonlocal current, spent
         try:
-            inst = candidate_builder()
+            inst = rebuild(ps, ms)
         except (ValueError, RuntimeError):
-            return None
+            return False
         spent += 1
         try:
-            res = run_check(check, inst)
+            res = run_check(result.check, inst)
         except (ValueError, RuntimeError):
-            return None
-        return res if res.verdict == FAIL else None
+            return False
+        if res.verdict == FAIL:
+            current = res
+        return res.verdict == FAIL
 
-    # pass 1: coordinate deletion, restarting after every success
-    progress = True
-    while progress and spent < budget:
-        progress = False
+    def deletion_kept() -> bool:
+        """Try current's coordinate deletions in sites order up to the first kept one."""
         payloads, mats, sites, rebuild = _plan(current.instance)
         cat = current.instance.category
-        for obj_idx, touched in sites:
-            dim = cat.ambient_dim(payloads[obj_idx])
-            for j in range(dim):
-                def candidate(obj_idx=obj_idx, touched=touched, j=j):
-                    ps = list(payloads)
-                    ps[obj_idx] = cat.drop_coordinate(ps[obj_idx], j)
-                    ms = {name: (_delete_axis(mat, touched[name], j)
-                                 if name in touched else mat)
-                          for name, mat in mats.items()}
-                    return rebuild(ps, ms)
-                res = attempt(candidate)
-                if res is not None:
-                    current = res
-                    progress = True
-                    break
-            if progress:
+        for i, touched in sites:
+            for j in range(cat.ambient_dim(payloads[i])):
+                if spent >= budget:
+                    return False
+                ps = list(payloads)
+                ps[i] = cat.drop_coordinate(ps[i], j)
+                ms = {name: _delete_axis(m, touched[name], j) if name in touched else m
+                      for name, m in mats.items()}
+                if kept(rebuild, ps, ms):
+                    return True
+        return False
+
+    while spent < budget and deletion_kept():
+        pass
+    # entry edits replace no payload, so a kept edit's matrices are the
+    # next plan's: each pass plans once
+    for unit in (False, True):
+        if spent >= budget:
+            break
+        payloads, mats, _, rebuild = _plan(current.instance)
+        cells = [(name, i, j) for name in sorted(mats)
+                 for i in range(mats[name].rows) for j in range(mats[name].cols)]
+        for name, i, j in cells:
+            if spent >= budget:
                 break
-
-    # pass 2: entry zeroing, then pass 3: entry flattening to +-1
-    for target in (None, "unit"):
-        payloads, mats, sites, rebuild = _plan(current.instance)
-        for name in sorted(mats):
-            m = mats[name]
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    e = m.entry(i, j)
-                    if e == 0:
-                        continue
-                    new = 0 if target is None else (1 if e > 0 else -1)
-                    if e == new:
-                        continue
-
-                    def candidate(name=name, i=i, j=j, new=new):
-                        ms = dict(mats)
-                        ms[name] = ms[name].with_entry(i, j, new)
-                        return rebuild(list(payloads), ms)
-
-                    res = attempt(candidate)
-                    if res is not None:
-                        current = res
-                        payloads, mats, sites, rebuild = _plan(current.instance)
-                        m = mats[name]
+            e = mats[name].entry(i, j)
+            new = (1 if e > 0 else -1) if unit else 0
+            if e != 0 and e != new:
+                ms = {**mats, name: mats[name].with_entry(i, j, new)}
+                if kept(rebuild, payloads, ms):
+                    mats = ms
     return current, spent
 
 

@@ -56,6 +56,8 @@ def _canonical(blob: dict) -> str:
 def cmd_audit(args) -> int:
     try:
         blob = _load_json(args.config)
+        if not isinstance(blob, dict):
+            raise ValueError("config must be a JSON object")
         if args.backend:
             blob = {**blob, "backend": args.backend}
         if args.seed is not None:

@@ -320,6 +320,17 @@ def test_shrink_plan_sites_and_coordinate_deletion(shape):
     assert rebuilt > 0
 
 
+def latz_strict(rows):
+    """The strict check on a latz morphism Z^cols -> Z^rows."""
+    cat = get_backend("latz")
+    f = cat.make_morphism(cat.make_object(len(rows[0])), cat.make_object(len(rows)),
+                          RatMatrix.from_rows(rows))
+    return run_check("strict", MorphismInstance(f))
+
+
+DIAG_211 = [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 class TestShrink:
     def test_padded_inclusion_witness_shrinks_to_a_line(self):
         res = run_check("strict", MorphismInstance(subvect_witness(2)))
@@ -336,10 +347,7 @@ class TestShrink:
                 "matrix": {"rows": 1, "cols": 1, "entries": [["1"]]}}}
 
     def test_lattice_witness_shrinks_to_doubling(self):
-        cat = get_backend("latz")
-        f = cat.make_morphism(cat.make_object(3), cat.make_object(3),
-                              RatMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
-        res = run_check("strict", MorphismInstance(f))
+        res = latz_strict(DIAG_211)
         assert res.verdict == "fail"
         small, spent = shrink(res)
         assert instance_size(small.instance) == 2
@@ -347,13 +355,31 @@ class TestShrink:
         assert spent == 14
 
     def test_budget_caps_checker_invocations(self):
-        cat = get_backend("latz")
-        f = cat.make_morphism(cat.make_object(3), cat.make_object(3),
-                              RatMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
-        res = run_check("strict", MorphismInstance(f))
-        small, spent = shrink(res, budget=3)
+        small, spent = shrink(latz_strict(DIAG_211), budget=3)
         assert spent <= 3
         assert small.verdict == "fail"
+
+    def test_spent_budget_reads_no_entry(self, monkeypatch):
+        res = latz_strict(DIAG_211)
+        reads = []
+        real = RatMatrix.entry
+        monkeypatch.setattr(RatMatrix, "entry", lambda m, i, j: reads.append((i, j)) or real(m, i, j))
+        _, spent = shrink(res, budget=3)
+        assert spent == 3 and reads == []
+
+    def test_plans_once_per_object_change(self, monkeypatch):
+        """One plan per kept deletion, one for the last deletion round and
+        one per entry pass: a kept entry edit replaces no object."""
+        res = latz_strict([[0, 1, 1], [0, 1, 3]])
+        plans = []
+        monkeypatch.setattr(audit_module, "_plan", lambda inst: plans.append(inst) or _plan(inst))
+        small, spent = shrink(res)
+        # the zero column goes, then two entry edits are kept
+        assert small.instance.to_json()["morphism"]["matrix"]["entries"] == [["1", "0"], ["0", "3"]]
+        assert spent == 10
+        kept_deletions = instance_size(res.instance) - instance_size(small.instance)
+        assert kept_deletions == 1
+        assert len(plans) == kept_deletions + 3
 
     def test_only_failures_shrink(self):
         cat = get_backend("vectq")

@@ -64,6 +64,8 @@ def test_make_morphism_shape_check():
     with pytest.raises(ConstraintViolation):
         VECTQ.make_morphism(a, b, RatMatrix.identity(2))
     VECTQ.make_morphism(a, b, RatMatrix.zeros(3, 2))
+    with pytest.raises(ConstraintViolation, match="RatMatrix"):
+        VECTQ.make_morphism(a, b, [[0, 0], [0, 0], [0, 0]])
 
 
 def test_subvect_layer_containment_enforced():

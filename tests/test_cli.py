@@ -29,6 +29,17 @@ VACUOUS_PAIR = {
     "inner": {"backend": "vectq", "dom": {"dim": 1}, "cod": {"dim": 1},
               "matrix": {"rows": 1, "cols": 1, "entries": [["0"]]}}}
 
+
+def _vectq_edge(rows, cols, entries):
+    return {"backend": "vectq", "dom": {"dim": cols}, "cod": {"dim": rows},
+            "matrix": {"rows": rows, "cols": cols, "entries": entries}}
+
+
+# the kernel Q -> Q^2 of a projection, pushed out along Q -> Q
+KERNEL_PROBE = {"kind": "probe", "backend": "vectq", "role": "kernel",
+                "morphism": _vectq_edge(2, 1, [["1"], ["0"]]),
+                "along": _vectq_edge(1, 1, [["1"]])}
+
 LATZ_DOUBLING = {"backend": "latz", "dom": {"rank": 1}, "cod": {"rank": 1},
                  "matrix": {"rows": 1, "cols": 1, "entries": [["2"]]}}
 
@@ -205,12 +216,17 @@ class TestAuditCommand:
         {"backend": "vectq", "seed": None},
         {"backend": "vectq", "seed": [1, 2]},
         {"backend": "vectq", "seed": {"a": 1}},
+        [1, 2],
+        "x",
     ])
     def test_bad_config_exits_one(self, tmp_path, capsys, blob):
         cfg = write_json(tmp_path, "cfg.json", blob)
-        code = main(["audit", "--config", cfg])
-        _, err = capsys.readouterr()
-        assert code == 1 and err.startswith("preab audit:")
+        # a config that is no object is refused before an override merges into it
+        overrides = [[]] if isinstance(blob, dict) else [[], ["--backend", "vectq"], ["--seed", "7"]]
+        for flags in overrides:
+            code = main(["audit", "--config", cfg, *flags])
+            _, err = capsys.readouterr()
+            assert code == 1 and err.startswith("preab audit:") and err.count("\n") == 1
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["audit", "--config", str(tmp_path / "absent.json")])
@@ -277,6 +293,21 @@ class TestCheckCommand:
         code, _, err = run_main(["check", "strict"], stdin_text=text,
                                 monkeypatch=monkeypatch, capsys=capsys)
         assert code == 1 and err.startswith("preab check:")
+
+    @pytest.mark.parametrize("edit,reason", [
+        ({}, None),
+        ({"role": "middle"}, "unknown probe role"),
+        ({"along": _vectq_edge(1, 2, [["1", "0"]])}, "out of the kernel's domain"),
+    ])
+    def test_semistable_probe_shape(self, monkeypatch, capsys, edit, reason):
+        code, _, err = run_main(["check", "semistable"],
+                                stdin_text=json.dumps({**KERNEL_PROBE, **edit}),
+                                monkeypatch=monkeypatch, capsys=capsys)
+        if reason is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1 and err.startswith("preab check:") and reason in err
+            assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from preab.conditions import (
     probe_semistable,
     run_check,
 )
-from preab.core import Square, classify, cokernel, kernel, pullback, pushout
+from preab.core import Square, classify, cokernel, dualize, kernel, pullback, pushout
 from preab.linalg import RatMatrix, Subspace
 
 import preab.conditions as conditions_module
@@ -233,6 +233,18 @@ def test_square_conditions_vacuous_without_kernel_top():
     assert check_right_v(sq).verdict == "vacuous"
     # vii is not vacuous: the top edge is still strict
     assert check_right_vii(sq).verdict == "pass"
+
+
+def test_vii_vacuous_along_a_non_strict_edge():
+    # the bimorphism (V,0) -> (V,V) is not strict
+    b = subvect_witness()
+    assert check_condition("right.vii", SquareInstance(pushout(b, b))).verdict == "vacuous"
+    assert check_condition("left.vii", SquareInstance(pullback(b, b))).verdict == "vacuous"
+
+
+def test_opposite_instances_do_not_serialize():
+    with pytest.raises(ValueError, match="base-side"):
+        MorphismInstance(dualize(subvect_witness())).to_json()
 
 
 def lying_pushout_square():

@@ -640,6 +640,10 @@ def test_square_validation():
     g = VECTQ.make_morphism(VECTQ.obj(2), VECTQ.obj(1), RatMatrix.from_rows([[1, 0]]))
     with pytest.raises(ValueError):
         Square(top=f, left=g, bottom=f, right=f)  # corners misaligned
+    with pytest.raises(ValueError, match="share their domain"):
+        pushout(f, g)
+    with pytest.raises(ValueError, match="share their codomain"):
+        pullback(f, VECTQ.identity(VECTQ.obj(2)))
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -771,6 +775,10 @@ def test_subobject_iso_rejects_different_axes():
     e2 = VECTQ.make_morphism(VECTQ.obj(1), VECTQ.obj(2), RatMatrix.from_rows([[0], [1]]))
     assert subobject_iso(e1, e2) is None
     assert quotient_iso(dualize(e1), dualize(e2)) is None
+    # other codomains; zero maps, which divide each other but never to an identity
+    assert subobject_iso(e1, VECTQ.identity(VECTQ.obj(1))) is None
+    zero = VECTQ.zero_morphism(VECTQ.obj(1), VECTQ.obj(1))
+    assert subobject_iso(zero, zero) is None
 
 
 def test_latz_subobject_iso_respects_index():
@@ -793,6 +801,18 @@ def test_opposite_involution(name):
     assert op.opposite() is cat
     assert opposite(op) is cat
     assert op.name == cat.name + "^op"
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_opposite_builds_and_serializes_the_base_read_backwards(name):
+    cat = BACKENDS[name]
+    op = cat.opposite()
+    rng = random.Random(f"opmake:{name}")
+    for _ in range(10):
+        f = rand_pair(cat, rng)
+        a, b = op.make_object(f.cod.payload), op.make_object(f.dom.payload)
+        assert op.make_morphism(a, b, f.payload) == dualize(f)
+        assert op.object_to_json(a) == cat.object_to_json(f.cod)
 
 
 @pytest.mark.parametrize("name", ALL)
