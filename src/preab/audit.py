@@ -318,30 +318,30 @@ def shrink(result: CheckResult, budget: int = 200) -> tuple[CheckResult, int]:
             current = res
         return res.verdict == FAIL
 
-    def deletion_kept() -> bool:
-        """Try current's coordinate deletions in sites order up to the first kept one."""
-        payloads, mats, sites, rebuild = _plan(current.instance)
+    def deletion_round():
+        """Try current's deletions in sites order: None once one is kept, else its plan."""
+        plan = payloads, mats, sites, rebuild = _plan(current.instance)
         cat = current.instance.category
         for i, touched in sites:
             for j in range(cat.ambient_dim(payloads[i])):
                 if spent >= budget:
-                    return False
+                    return plan
                 ps = list(payloads)
                 ps[i] = cat.drop_coordinate(ps[i], j)
                 ms = {name: _delete_axis(m, touched[name], j) if name in touched else m
                       for name, m in mats.items()}
                 if kept(rebuild, ps, ms):
-                    return True
-        return False
+                    return None
+        return plan
 
-    while spent < budget and deletion_kept():
+    while spent < budget and (plan := deletion_round()) is None:
         pass
+    if spent >= budget:
+        return current, spent
     # entry edits replace no payload, so a kept edit's matrices are the
-    # next plan's: each pass plans once
+    # plan's updated in place: both passes share the last round's plan
+    payloads, mats, _, rebuild = plan
     for unit in (False, True):
-        if spent >= budget:
-            break
-        payloads, mats, _, rebuild = _plan(current.instance)
         cells = [(name, i, j) for name in sorted(mats)
                  for i in range(mats[name].rows) for j in range(mats[name].cols)]
         for name, i, j in cells:

@@ -17,7 +17,7 @@ is an isomorphism.  See :func:`subobject_iso` and :func:`quotient_iso`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -27,9 +27,11 @@ class ConstraintViolation(ValueError):
 
 @dataclass(frozen=True)
 class CatObject:
-    """An object of a concrete category: a payload plus its category tag."""
+    """An object of a concrete category: a payload and the backend that
+    owns it.  A category and its opposite share their objects, so an
+    object's category is always a backend, never an :class:`Opposite`."""
 
-    category: "Category" = field(compare=False)
+    category: "Category"
     payload: Any
 
     def __eq__(self, other):
@@ -53,7 +55,7 @@ class Morphism:
     Composition is available as ``g @ f``.
     """
 
-    category: "Category" = field(compare=False)
+    category: "Category"
     dom: CatObject
     cod: CatObject
     payload: Any
@@ -148,9 +150,8 @@ class _OppositeBiproduct(Biproduct):
     and conversely (see :func:`dualize_square`)."""
 
     def __init__(self, op: "Opposite", a: CatObject, b: CatObject):
-        self._base = op.base.biproduct(op._base_obj(b), op._base_obj(a))
-        self.category, self.a, self.b = op, a, b
-        self.ob = op._obj(self._base.ob)
+        self._base = op.base.biproduct(b, a)
+        self.category, self.a, self.b, self.ob = op, a, b, self._base.ob
 
     def pair(self, f: Morphism, g: Morphism) -> Morphism:
         op = self.category
@@ -302,10 +303,11 @@ class Square:
 class Category:
     """What a concrete backend provides.
 
-    Backends are stateless singletons; object and morphism values carry
-    a reference to their category, and mixing categories raises.  Each
-    backend, and :class:`Opposite`, defines ``zero_object``,
-    ``is_zero_object``, ``identity``, ``zero_morphism``,
+    Backends are stateless singletons.  An object carries the backend
+    that owns its payload and a morphism its category, and mixing the
+    morphisms of two categories raises.  Each backend, and
+    :class:`Opposite`, defines ``zero_object``, ``is_zero_object``,
+    ``identity``, ``zero_morphism``,
     ``is_zero_morphism``, ``compose(g, f)`` (``g @ f``), ``add``,
     ``negate``, ``biproduct(a, b)`` (a :class:`Biproduct` defining the
     maps ``pair``, ``copair``, ``split_out`` and ``split_in``),
@@ -345,27 +347,23 @@ def opposite(c: Category) -> Category:
 
 
 class Opposite(Category):
-    """Formal dual of a category.
+    """Formal dual of a category, a view of its base.
 
-    Objects are shared with the base; a morphism a -> b here wraps a
-    base morphism b -> a.  Kernels become cokernels and vice versa, so
-    every dual notion is available without reimplementing anything.
+    The objects are the base's own objects, so every object method
+    delegates unchanged; only morphisms are wrapped: a morphism a -> b
+    here wraps a base morphism b -> a.  Kernels become cokernels and
+    vice versa, so every dual notion is available without
+    reimplementing anything.
     """
 
     def __init__(self, base: Category):
         self.base = base
         self.name = base.name + "^op"
 
-    def _obj(self, a: CatObject) -> CatObject:
-        return CatObject(self, a.payload)
-
-    def _base_obj(self, a: CatObject) -> CatObject:
-        return CatObject(self.base, a.payload)
-
     def wrap(self, f: Morphism) -> Morphism:
         if f.category is not self.base:
             raise ValueError("can only wrap morphisms of the base category")
-        return Morphism(self, self._obj(f.cod), self._obj(f.dom), f)
+        return Morphism(self, f.cod, f.dom, f)
 
     def unwrap(self, f: Morphism) -> Morphism:
         if f.category is not self:
@@ -374,25 +372,23 @@ class Opposite(Category):
 
     # objects
     def zero_object(self):
-        return self._obj(self.base.zero_object())
+        return self.base.zero_object()
 
     def is_zero_object(self, a):
-        return self.base.is_zero_object(self._base_obj(a))
+        return self.base.is_zero_object(a)
 
     # structural morphisms
     def identity(self, a):
-        return self.wrap(self.base.identity(self._base_obj(a)))
+        return self.wrap(self.base.identity(a))
 
     def zero_morphism(self, a, b):
-        return self.wrap(self.base.zero_morphism(self._base_obj(b), self._base_obj(a)))
+        return self.wrap(self.base.zero_morphism(b, a))
 
     def is_zero_morphism(self, f):
         return self.base.is_zero_morphism(self.unwrap(f))
 
     # additive structure
     def compose(self, g, f):
-        if f.cod != g.dom:
-            raise ValueError("morphisms do not compose")
         return self.wrap(self.base.compose(self.unwrap(f), self.unwrap(g)))
 
     def add(self, f, g):
@@ -406,7 +402,7 @@ class Opposite(Category):
 
     # limits
     def _dual_cone(self, cone: Cone, of: Morphism, kind: str) -> Cone:
-        return Cone(kind=kind, of=of, apex=self._obj(cone.apex), leg=self.wrap(cone.leg))
+        return Cone(kind=kind, of=of, apex=cone.apex, leg=self.wrap(cone.leg))
 
     def kernel(self, f):
         return self._dual_cone(self.base.cokernel(self.unwrap(f)), f, "kernel")
@@ -435,23 +431,23 @@ class Opposite(Category):
 
     # construction and generation
     def make_object(self, payload):
-        return self._obj(self.base.make_object(payload))
+        return self.base.make_object(payload)
 
     def make_morphism(self, dom, cod, payload):
-        return self.wrap(self.base.make_morphism(self._base_obj(cod), self._base_obj(dom), payload))
+        return self.wrap(self.base.make_morphism(cod, dom, payload))
 
     def random_object(self, rng, dim_bound):
-        return self._obj(self.base.random_object(rng, dim_bound))
+        return self.base.random_object(rng, dim_bound)
 
     def random_morphism(self, rng, a, b):
-        return self.wrap(self.base.random_morphism(rng, self._base_obj(b), self._base_obj(a)))
+        return self.wrap(self.base.random_morphism(rng, b, a))
 
     def random_iso(self, rng, a):
-        return self.wrap(self.base.random_iso(rng, self._base_obj(a)))
+        return self.wrap(self.base.random_iso(rng, a))
 
-    # serialization: payloads are shared with the base, arrows stay reversed
+    # serialization: objects are the base's own, arrows stay reversed
     def object_to_json(self, a):
-        return self.base.object_to_json(self._base_obj(a))
+        return self.base.object_to_json(a)
 
     def morphism_to_json(self, f):
         return self.base.morphism_to_json(self.unwrap(f))

@@ -368,8 +368,8 @@ class TestShrink:
         assert spent == 3 and reads == []
 
     def test_plans_once_per_object_change(self, monkeypatch):
-        """One plan per kept deletion, one for the last deletion round and
-        one per entry pass: a kept entry edit replaces no object."""
+        """One plan per kept deletion and one for the last deletion round,
+        which both entry passes share: a kept entry edit replaces no object."""
         res = latz_strict([[0, 1, 1], [0, 1, 3]])
         plans = []
         monkeypatch.setattr(audit_module, "_plan", lambda inst: plans.append(inst) or _plan(inst))
@@ -379,7 +379,7 @@ class TestShrink:
         assert spent == 10
         kept_deletions = instance_size(res.instance) - instance_size(small.instance)
         assert kept_deletions == 1
-        assert len(plans) == kept_deletions + 3
+        assert len(plans) == kept_deletions + 1
 
     def test_only_failures_shrink(self):
         cat = get_backend("vectq")

@@ -804,6 +804,25 @@ def test_opposite_involution(name):
 
 
 @pytest.mark.parametrize("name", ALL)
+def test_opposite_shares_the_base_objects_but_not_its_morphisms(name):
+    cat = BACKENDS[name]
+    op = cat.opposite()
+    assert op.zero_object() == cat.zero_object()
+    rng = random.Random(f"opobjects:{name}")
+    for _ in range(10):
+        f = rand_pair(cat, rng)
+        fo = dualize(f)
+        assert op.make_object(f.dom.payload) == cat.make_object(f.dom.payload) == f.dom
+        assert (fo.dom, fo.cod) == (f.cod, f.dom)
+        assert op.identity(f.dom) == dualize(cat.identity(f.dom))
+        for call in (lambda: op.compose(fo, f), lambda: op.compose(f, fo),
+                     lambda: cat.compose(f, fo), lambda: op.add(f, f),
+                     lambda: op.is_iso(f), lambda: op.wrap(fo), lambda: op.unwrap(f)):
+            with pytest.raises(ValueError):
+                call()
+
+
+@pytest.mark.parametrize("name", ALL)
 def test_opposite_builds_and_serializes_the_base_read_backwards(name):
     cat = BACKENDS[name]
     op = cat.opposite()
