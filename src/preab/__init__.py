@@ -8,7 +8,6 @@ sampling, which exactness properties each category appears to satisfy.
 """
 
 from .core import (
-    CatObject,
     Category,
     Cone,
     ConstraintViolation,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKENDS",
-    "CatObject",
     "Category",
     "Cone",
     "ConstraintViolation",

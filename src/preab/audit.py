@@ -47,6 +47,7 @@ from .conditions import (
     SquareInstance,
     check_condition,
     classify,
+    from_mirror,
     probe_semistable,
     run_check,
 )
@@ -203,10 +204,10 @@ def generate_instance(backend: str, cond, dim_bound: int, seed) -> CheckResult:
     vacuous; the instance is its .instance.  Checkers are pure, so this is
     exactly what checking that instance afresh returns.  A left condition
     is checked as its right-side mirror on the opposite-category instance
-    just built; only the returned result is dualized, so its instance
-    serializes on the base side.  Retries a few
-    reseeded attempts when a construction degenerates into a vacuous
-    instance; raises GenerationExhausted when they all do.
+    just built; only the returned result is dualized, by ``from_mirror``,
+    so its instance serializes on the base side.  Retries a few reseeded
+    attempts when a construction degenerates into a vacuous instance;
+    raises GenerationExhausted when they all do.
     """
     cond = ConditionId.parse(cond)
     base = get_backend(backend)
@@ -219,7 +220,7 @@ def generate_instance(backend: str, cond, dim_bound: int, seed) -> CheckResult:
         res = check_condition(mirror, inst)
         if res.verdict != VACUOUS:
             if cond.side == "left":
-                res = CheckResult(str(cond), res.verdict, inst.dualize(), res.witness)
+                res = from_mirror(str(cond), res, inst.dualize())
             return res
     raise GenerationExhausted(f"no non-vacuous instance for {cond} from seed {seed!r}")
 
@@ -240,7 +241,7 @@ def _objects(edges: dict) -> list:
 def instance_size(inst) -> int:
     """Total ambient dimension across the instance's distinct objects."""
     cat = inst.category
-    return sum(cat.ambient_dim(a.payload) for a in _objects(inst.edges()))
+    return sum(cat.ambient_dim(a) for a in _objects(inst.edges()))
 
 
 def _plan(inst):
@@ -252,19 +253,18 @@ def _plan(inst):
     and rows (edges into it) it removes.  rebuild turns edited payloads
     and matrices back into an instance, raising on anything invalid.  It
     validates only the payloads an edit replaced: one that is still the
-    plan's own (``ps[i] is payloads[i]``) keeps the instance's object.
+    plan's own (``ps[i] is payloads[i]``) is kept unchecked.
     """
     cat = inst.category
     edges = inst.edges()
-    objects = _objects(edges)
-    payloads = [a.payload for a in objects]
+    payloads = _objects(edges)
     mats = {name: f.payload for name, (f, _, _) in edges.items()}
     sites = [(i, {name: "col" if dom == i else "row"
                   for name, (_, dom, cod) in edges.items() if i in (dom, cod)})
              for i in range(len(payloads))]
 
     def rebuild(ps, ms):
-        obs = [a if p is a.payload else cat.make_object(p) for a, p in zip(objects, ps)]
+        obs = [a if p is a else cat.make_object(p) for a, p in zip(payloads, ps)]
         built = {}
         for name, (_, dom, cod) in edges.items():
             f = cat.try_morphism(obs[dom], obs[cod], ms[name])

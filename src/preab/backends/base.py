@@ -13,7 +13,6 @@ from typing import Optional
 
 from ..core import (
     Biproduct,
-    CatObject,
     Category,
     Cone,
     ConstraintViolation,
@@ -26,28 +25,32 @@ from ..linalg import RatMatrix, hstack, invert, solve_right, vstack
 class _MatrixBiproduct(Biproduct):
     """A (+) B with A's ``n`` ambient coordinates first (see MatrixBackend)."""
 
-    def __init__(self, cat: "MatrixBackend", a: CatObject, b: CatObject):
+    def __init__(self, cat: "MatrixBackend", a, b):
         self.category, self.a, self.b = cat, a, b
-        self._n = cat.ambient_dim(a.payload)
-        self.ob = CatObject(cat, cat.direct_sum_payload(a.payload, b.payload))
+        self._n = cat.ambient_dim(a)
+        self.ob = cat.direct_sum_payload(a, b)
 
     def pair(self, f: Morphism, g: Morphism) -> Morphism:
+        self.category._own(f, g)
         if f.dom != g.dom or f.cod != self.a or g.cod != self.b:
             raise ValueError("pair legs must share a domain and land in the summands")
         return Morphism(self.category, f.dom, self.ob, vstack(f.payload, g.payload))
 
     def copair(self, f: Morphism, g: Morphism) -> Morphism:
+        self.category._own(f, g)
         if f.cod != g.cod or f.dom != self.a or g.dom != self.b:
             raise ValueError("copair legs must start at the summands and share a codomain")
         return Morphism(self.category, self.ob, f.cod, hstack(f.payload, g.payload))
 
     def split_out(self, h: Morphism) -> tuple[Morphism, Morphism]:
+        self.category._own(h)
         if h.dom != self.ob:
             raise ValueError("split_out needs a morphism out of the biproduct")
         u, v = h.payload.split_columns(self._n)
         return Morphism(self.category, self.a, h.cod, u), Morphism(self.category, self.b, h.cod, v)
 
     def split_in(self, h: Morphism) -> tuple[Morphism, Morphism]:
+        self.category._own(h)
         if h.cod != self.ob:
             raise ValueError("split_in needs a morphism into the biproduct")
         u, v = h.payload.split_rows(self._n)
@@ -58,20 +61,21 @@ class MatrixBackend(Category):
     """Category base class with RatMatrix morphism payloads.
 
     Besides ``make_object``, ``zero_object``, generation and JSON (see
-    :class:`~preab.core.Category`), a subclass defines eight hooks:
-    ``ambient_dim(payload)``; ``check_payload_constraints(dom_payload,
-    cod_payload, m)``, which raises ConstraintViolation when ``m`` breaks
-    the structure; ``direct_sum_payload(a_payload, b_payload)``, the
-    biproduct's payload; ``drop_coordinate(payload, j)``, the payload with
-    ambient coordinate ``j`` projected away (for shrinking);
-    ``kernel_data(f)`` and ``cokernel_data(f)``, each returning the apex
-    payload and the leg matrix (apex -> dom f for a kernel, cod f -> apex
+    :class:`~preab.core.Category`), a subclass defines eight hooks on
+    objects, which are payloads: ``ambient_dim(payload)``;
+    ``check_payload_constraints(dom_payload, cod_payload, m)``, which
+    raises ConstraintViolation when ``m`` breaks the structure;
+    ``direct_sum_payload(a_payload, b_payload)``, the biproduct object;
+    ``drop_coordinate(payload, j)``, the object with ambient coordinate
+    ``j`` projected away (for shrinking); ``kernel_data(f)`` and
+    ``cokernel_data(f)``, each returning the apex object and the leg
+    matrix (apex -> dom f for a kernel, cod f -> apex
     for a cokernel); and ``coimage_data(f)`` and ``image_data(f)``, the
     same for the coimage cok(ker f) (dom f -> apex) and the image
     ker(cok f) (apex -> cod f), read off f itself.  A coimage leg is
     r x n and an image leg m x r, for r the rank of f; when r == n
-    (r == m) the hook returns the domain's (codomain's) own payload and
-    the identity matrix, with no apex structure computed.
+    (r == m) the hook returns the domain (codomain) itself and the
+    identity matrix, with no apex structure computed.
 
     ``decompose`` builds f = im @ fbar @ coim from those two legs, so no
     kernel or cokernel cone of f is built: f is mono when its coimage leg
@@ -106,63 +110,68 @@ class MatrixBackend(Category):
     """
 
     # -- generic implementations ------------------------------------------
-    def is_zero_object(self, a: CatObject) -> bool:
-        return self.ambient_dim(a.payload) == 0
+    def _own(self, *morphisms: Morphism) -> None:
+        for f in morphisms:
+            if f.category is not self:
+                raise ValueError("morphisms belong to a different category")
 
-    def identity(self, a: CatObject) -> Morphism:
-        return Morphism(self, a, a, RatMatrix.identity(self.ambient_dim(a.payload)))
+    def is_zero_object(self, a) -> bool:
+        return self.ambient_dim(a) == 0
 
-    def zero_morphism(self, a: CatObject, b: CatObject) -> Morphism:
-        return Morphism(self, a, b,
-                        RatMatrix.zeros(self.ambient_dim(b.payload), self.ambient_dim(a.payload)))
+    def identity(self, a) -> Morphism:
+        return Morphism(self, a, a, RatMatrix.identity(self.ambient_dim(a)))
+
+    def zero_morphism(self, a, b) -> Morphism:
+        return Morphism(self, a, b, RatMatrix.zeros(self.ambient_dim(b), self.ambient_dim(a)))
 
     def is_zero_morphism(self, f: Morphism) -> bool:
+        self._own(f)
         return f.payload.is_zero()
 
     def compose(self, g: Morphism, f: Morphism) -> Morphism:
-        if f.category is not self or g.category is not self:
-            raise ValueError("morphisms belong to a different category")
+        self._own(g, f)
         if f.cod != g.dom:
             raise ValueError("morphisms do not compose")
         return Morphism(self, f.dom, g.cod, g.payload @ f.payload)
 
     def add(self, f: Morphism, g: Morphism) -> Morphism:
+        self._own(f, g)
         if f.dom != g.dom or f.cod != g.cod:
             raise ValueError("can only add parallel morphisms")
         return Morphism(self, f.dom, f.cod, f.payload + g.payload)
 
     def negate(self, f: Morphism) -> Morphism:
+        self._own(f)
         return Morphism(self, f.dom, f.cod, -f.payload)
 
-    def biproduct(self, a: CatObject, b: CatObject) -> Biproduct:
+    def biproduct(self, a, b) -> Biproduct:
         return _MatrixBiproduct(self, a, b)
 
     def _is_identity(self, f: Morphism) -> bool:
         return f.payload.is_identity() and f.dom == f.cod
 
     def kernel(self, f: Morphism) -> Cone:
+        self._own(f)
         if f.payload.is_zero():
             return Cone(kind="kernel", of=f, apex=f.dom, leg=self.identity(f.dom))
         if self._is_identity(f):
             zero = self.zero_object()
             return Cone(kind="kernel", of=f, apex=zero, leg=self.zero_morphism(zero, f.dom))
-        apex_payload, leg_matrix = self.kernel_data(f)
-        apex = CatObject(self, apex_payload)
-        leg = Morphism(self, apex, f.dom, leg_matrix)
-        return Cone(kind="kernel", of=f, apex=apex, leg=leg)
+        apex, m = self.kernel_data(f)
+        return Cone(kind="kernel", of=f, apex=apex, leg=Morphism(self, apex, f.dom, m))
 
     def cokernel(self, f: Morphism) -> Cone:
+        self._own(f)
         if f.payload.is_zero():
             return Cone(kind="cokernel", of=f, apex=f.cod, leg=self.identity(f.cod))
         if self._is_identity(f):
             zero = self.zero_object()
             return Cone(kind="cokernel", of=f, apex=zero, leg=self.zero_morphism(f.cod, zero))
-        apex_payload, leg_matrix = self.cokernel_data(f)
-        apex = CatObject(self, apex_payload)
-        leg = Morphism(self, f.cod, apex, leg_matrix)
-        return Cone(kind="cokernel", of=f, apex=apex, leg=leg)
+        apex, m = self.cokernel_data(f)
+        return Cone(kind="cokernel", of=f, apex=apex, leg=Morphism(self, f.cod, apex, m))
 
     def decompose(self, f: Morphism) -> Decomposition:
+        self._own(f)
         if f.payload.is_zero():
             zero = self.zero_object()
             return Decomposition(coim=self.zero_morphism(f.dom, zero), fbar=self.identity(zero),
@@ -170,10 +179,10 @@ class MatrixBackend(Category):
                                  mono=self.is_zero_object(f.dom), epi=self.is_zero_object(f.cod))
         if self._is_identity(f):
             return Decomposition(coim=f, fbar=f, im=f, mono=True, epi=True)
-        coim_payload, q = self.coimage_data(f)
-        im_payload, b = self.image_data(f)
-        coim = Morphism(self, f.dom, CatObject(self, coim_payload), q)
-        im = Morphism(self, CatObject(self, im_payload), f.cod, b)
+        coim_apex, q = self.coimage_data(f)
+        im_apex, b = self.image_data(f)
+        coim = Morphism(self, f.dom, coim_apex, q)
+        im = Morphism(self, im_apex, f.cod, b)
         through_coim = self.divide_right(coim, f)
         if through_coim is None:
             raise RuntimeError("f does not factor through its coimage")
@@ -184,6 +193,7 @@ class MatrixBackend(Category):
                              mono=q.rows == q.cols, epi=b.rows == b.cols)
 
     def divide_left(self, g: Morphism, h: Morphism) -> Optional[Morphism]:
+        self._own(g, h)
         if g.cod != h.cod:
             raise ValueError("divide_left needs a common codomain")
         if self._is_identity(g):
@@ -194,6 +204,7 @@ class MatrixBackend(Category):
         return self.try_morphism(h.dom, g.dom, x)
 
     def divide_right(self, g: Morphism, h: Morphism) -> Optional[Morphism]:
+        self._own(g, h)
         if g.dom != h.dom:
             raise ValueError("divide_right needs a common domain")
         if self._is_identity(g):
@@ -204,6 +215,7 @@ class MatrixBackend(Category):
         return self.try_morphism(g.cod, h.cod, x.transpose())
 
     def is_iso(self, f: Morphism) -> bool:
+        self._own(f)
         if self._is_identity(f):
             return True
         # invert the ambient matrix, then let the structure constraints
@@ -213,10 +225,10 @@ class MatrixBackend(Category):
             return False
         return self.try_morphism(f.cod, f.dom, inv) is not None
 
-    def _structural_candidates(self, a: CatObject, b: CatObject) -> list[RatMatrix]:
+    def _structural_candidates(self, a, b) -> list[RatMatrix]:
         """The zero map, then whichever of identity, inclusion and projection
         onto the leading coordinates respect the structure of a and b."""
-        n, m = self.ambient_dim(a.payload), self.ambient_dim(b.payload)
+        n, m = self.ambient_dim(a), self.ambient_dim(b)
         out = [RatMatrix.zeros(m, n)]
         named = []
         if n == m:
@@ -227,19 +239,18 @@ class MatrixBackend(Category):
             named.append(hstack(RatMatrix.identity(m), RatMatrix.zeros(m, n - m)))
         for cand in named:
             try:
-                self.check_payload_constraints(a.payload, b.payload, cand)
+                self.check_payload_constraints(a, b, cand)
             except ConstraintViolation:
                 continue
             out.append(cand)
         return out
 
-    def make_morphism(self, dom: CatObject, cod: CatObject, payload) -> Morphism:
+    def make_morphism(self, dom, cod, payload) -> Morphism:
         if not isinstance(payload, RatMatrix):
             raise ConstraintViolation("morphism payload must be a RatMatrix")
-        if payload.rows != self.ambient_dim(cod.payload) or \
-                payload.cols != self.ambient_dim(dom.payload):
+        if payload.rows != self.ambient_dim(cod) or payload.cols != self.ambient_dim(dom):
             raise ConstraintViolation(
                 f"matrix shape {payload.shape} does not match objects "
-                f"({self.ambient_dim(cod.payload)} x {self.ambient_dim(dom.payload)} expected)")
-        self.check_payload_constraints(dom.payload, cod.payload, payload)
+                f"({self.ambient_dim(cod)} x {self.ambient_dim(dom)} expected)")
+        self.check_payload_constraints(dom, cod, payload)
         return Morphism(self, dom, cod, payload)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import lcm
 from operator import mul
 
-from ..core import CatObject, ConstraintViolation, Morphism
+from ..core import ConstraintViolation, Morphism
 from ..linalg import (
     RatMatrix,
     Subspace,
@@ -98,10 +98,10 @@ class FlagBackend(MatrixBackend):
         self.name = name
         self.n_layers = n_layers
         # built once: identities' kernels and cokernels land on it
-        self._zero = CatObject(self, (0, (Subspace.zero(0),) * n_layers))
+        self._zero = (0, (Subspace.zero(0),) * n_layers)
 
     # -- objects -----------------------------------------------------------
-    def make_object(self, payload) -> CatObject:
+    def make_object(self, payload) -> tuple:
         try:
             dim, layers = payload
             layers = tuple(layers)
@@ -117,12 +117,12 @@ class FlagBackend(MatrixBackend):
         for small, big in zip(layers, layers[1:]):
             if not big.contains(small):
                 raise ConstraintViolation("marked layers must be nested")
-        return CatObject(self, (dim, layers))
+        return dim, layers
 
-    def obj(self, dim: int, layers=()) -> CatObject:
+    def obj(self, dim: int, layers=()) -> tuple:
         return self.make_object((dim, tuple(layers)))
 
-    def zero_object(self) -> CatObject:
+    def zero_object(self) -> tuple:
         return self._zero
 
     def ambient_dim(self, payload) -> int:
@@ -163,44 +163,45 @@ class FlagBackend(MatrixBackend):
         f(x) has the dimension of x; so y lies in f(x) exactly when
         x.dim == y.dim.  No inverse is built and no layer is solved against.
         """
+        self._own(f)
         if self._is_identity(f):
             return True
-        (n, xs), (m, ys) = f.dom.payload, f.cod.payload
+        (n, xs), (m, ys) = f.dom, f.cod
         return (n == m and all(x.dim == y.dim for x, y in zip(xs, ys))
                 and rank(f.payload) == n)
 
     def kernel_data(self, f: Morphism):
-        n, xs = f.dom.payload
+        n, xs = f.dom
         k = kernel_basis(f.payload)
         layers = tuple(preimage(k.basis, x) for x in xs)
         return (k.dim, layers), k.basis
 
     def cokernel_data(self, f: Morphism):
-        m, ys = f.cod.payload
+        m, ys = f.cod
         # the rows of q span the annihilator of the image, the kernel of f^T
         q = kernel_basis(f.payload.transpose()).basis.transpose()
         layers = tuple(pushforward(q, y) for y in ys)
         return (q.rows, layers), q
 
     def coimage_data(self, f: Morphism):
-        n, xs = f.dom.payload
+        n, xs = f.dom
         # ker(K^T), for K the kernel leg, is the row space of f, and the
         # non-zero rows of rref(f) are that space's canonical basis
         q = row_echelon_basis(f.payload)
         if q.rows == n:
-            return f.dom.payload, q
+            return f.dom, q
         return (q.rows, tuple(pushforward(q, x) for x in xs)), q
 
     def image_data(self, f: Morphism):
-        m, ys = f.cod.payload
+        m, ys = f.cod
         # ker(cok f) is the column space of f
         b = column_echelon_basis(f.payload)
         if b.cols == m:
-            return f.cod.payload, b
+            return f.cod, b
         return (b.cols, tuple(preimage(b, y) for y in ys)), b
 
     # -- generation ------------------------------------------------------------
-    def random_object(self, rng, dim_bound: int) -> CatObject:
+    def random_object(self, rng, dim_bound: int) -> tuple:
         """A seeded object: the zero object, a chain of zero or full layers,
         or layers spanned by growing blocks of random columns.
 
@@ -226,14 +227,14 @@ class FlagBackend(MatrixBackend):
                 blocks.append(RatMatrix._of(dim, extra,
                                             [rng.randint(-3, 3) for _ in range(dim * extra)]))
             layers = tuple(nested_spans(dim, blocks))
-        return CatObject(self, (dim, layers))
+        return dim, layers
 
-    def random_morphism(self, rng, a: CatObject, b: CatObject) -> Morphism:
+    def random_morphism(self, rng, a: tuple, b: tuple) -> Morphism:
         if rng.random() < 0.2:
             cand = rng.choice(self._structural_candidates(a, b))
             return Morphism(self, a, b, cand)
-        n, xs = a.payload
-        m, ys = b.payload
+        n, xs = a
+        m, ys = b
         _, p_inv, block = _adapted_columns(n, xs)
         # adapted column j goes to a combination of the basis of layer
         # block[j] of b, or anywhere when it is outside every layer
@@ -254,8 +255,8 @@ class FlagBackend(MatrixBackend):
         img = RatMatrix._of(m, n, [col[r] for r in range(m) for col in cols], d)
         return Morphism(self, a, b, img if p_inv.is_identity() else img @ p_inv)
 
-    def random_iso(self, rng, a: CatObject) -> Morphism:
-        n, xs = a.payload
+    def random_iso(self, rng, a: tuple) -> Morphism:
+        n, xs = a
         p, p_inv, _ = _adapted_columns(n, xs)
         # upper triangular with invertible diagonal fixes every initial
         # span of adapted columns, hence every marked layer
@@ -268,8 +269,8 @@ class FlagBackend(MatrixBackend):
         return Morphism(self, a, a, tm if p.is_identity() else p @ tm @ p_inv)
 
     # -- serialization ------------------------------------------------------------
-    def object_to_json(self, a: CatObject) -> dict:
-        dim, layers = a.payload
+    def object_to_json(self, a: tuple) -> dict:
+        dim, layers = a
         out: dict = {"dim": dim}
         if self.n_layers == 1:
             out["subspace"] = matrix_to_json(layers[0].basis)
@@ -277,7 +278,7 @@ class FlagBackend(MatrixBackend):
             out["flag"] = [matrix_to_json(s.basis) for s in layers]
         return out
 
-    def object_from_json(self, obj: dict) -> CatObject:
+    def object_from_json(self, obj: dict) -> tuple:
         try:
             dim = obj["dim"]
             check_declared_dim(dim, f"{self.name} dim")
@@ -292,6 +293,7 @@ class FlagBackend(MatrixBackend):
         return self.make_object((dim, layers))
 
     def morphism_to_json(self, f: Morphism) -> dict:
+        self._own(f)
         return {
             "backend": self.name,
             "dom": self.object_to_json(f.dom),

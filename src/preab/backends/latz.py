@@ -11,7 +11,7 @@ both mono and epi here, but certainly not invertible.
 
 from __future__ import annotations
 
-from ..core import CatObject, ConstraintViolation, Morphism
+from ..core import ConstraintViolation, Morphism
 from ..lattice import integer_kernel, pure_quotient_rows
 from ..linalg import RatMatrix, check_declared_dim, matrix_from_json, matrix_to_json
 from .base import MatrixBackend
@@ -21,16 +21,16 @@ class LatZBackend(MatrixBackend):
     name = "latz"
 
     # -- objects -----------------------------------------------------------
-    def make_object(self, payload) -> CatObject:
+    def make_object(self, payload) -> int:
         if not isinstance(payload, int) or isinstance(payload, bool) or payload < 0:
             raise ConstraintViolation("object payload must be a non-negative rank")
-        return CatObject(self, payload)
+        return payload
 
-    def obj(self, rank: int) -> CatObject:
+    def obj(self, rank: int) -> int:
         return self.make_object(rank)
 
-    def zero_object(self) -> CatObject:
-        return CatObject(self, 0)
+    def zero_object(self) -> int:
+        return 0
 
     def ambient_dim(self, payload) -> int:
         return payload
@@ -71,34 +71,32 @@ class LatZBackend(MatrixBackend):
         return s.cols, s
 
     # -- generation ------------------------------------------------------------
-    def random_object(self, rng, dim_bound: int) -> CatObject:
-        return CatObject(self, rng.randint(0, dim_bound))
+    def random_object(self, rng, dim_bound: int) -> int:
+        return rng.randint(0, dim_bound)
 
-    def random_morphism(self, rng, a: CatObject, b: CatObject) -> Morphism:
+    def random_morphism(self, rng, a: int, b: int) -> Morphism:
         if rng.random() < 0.2:
             return Morphism(self, a, b, rng.choice(self._structural_candidates(a, b)))
-        n, m = a.payload, b.payload
-        data = [rng.randint(-3, 3) for _ in range(m * n)]
-        return Morphism(self, a, b, RatMatrix(m, n, data))
+        data = [rng.randint(-3, 3) for _ in range(b * a)]
+        return Morphism(self, a, b, RatMatrix(b, a, data))
 
-    def random_iso(self, rng, a: CatObject) -> Morphism:
-        n = a.payload
-        grid = [[int(i == j) for j in range(n)] for i in range(n)]
-        for _ in range(2 * n):
-            i, j = rng.randrange(n), rng.randrange(n)
+    def random_iso(self, rng, a: int) -> Morphism:
+        grid = [[int(i == j) for j in range(a)] for i in range(a)]
+        for _ in range(2 * a):
+            i, j = rng.randrange(a), rng.randrange(a)
             if i != j:
                 c = rng.randint(-2, 2)
                 grid[i] = [x + c * y for x, y in zip(grid[i], grid[j])]
-        if n and rng.random() < 0.5:
-            i = rng.randrange(n)
+        if a and rng.random() < 0.5:
+            i = rng.randrange(a)
             grid[i] = [-x for x in grid[i]]
-        return Morphism(self, a, a, RatMatrix(n, n, [x for row in grid for x in row]))
+        return Morphism(self, a, a, RatMatrix(a, a, [x for row in grid for x in row]))
 
     # -- serialization ------------------------------------------------------------
-    def object_to_json(self, a: CatObject) -> dict:
-        return {"rank": a.payload}
+    def object_to_json(self, a: int) -> dict:
+        return {"rank": a}
 
-    def object_from_json(self, obj: dict) -> CatObject:
+    def object_from_json(self, obj: dict) -> int:
         try:
             rank = obj["rank"]
         except (TypeError, KeyError) as exc:
@@ -107,6 +105,7 @@ class LatZBackend(MatrixBackend):
         return self.make_object(rank)
 
     def morphism_to_json(self, f: Morphism) -> dict:
+        self._own(f)
         return {
             "backend": self.name,
             "dom": self.object_to_json(f.dom),

@@ -598,12 +598,19 @@ def probe_semistable(f: Morphism, role: str, n_samples: int, seed,
 # the check catalog (CLI surface)
 
 
+def from_mirror(name: str, res: CheckResult, instance: Instance) -> CheckResult:
+    """res, name's mirror check on the dual of instance, relabelled as name
+    on instance.  Its witness describes the opposite category, where mono
+    and epi trade places, so it is kept whole under "dual"."""
+    witness = None if res.witness is None else {"dual": res.witness}
+    return CheckResult(name, res.verdict, instance, witness)
+
+
 def _mirrored(name: str, check: Callable[[Instance], CheckResult]):
     """check's mirror statement, named name: check runs on the dualized
-    instance, and its verdict and witness return with the original one."""
+    instance, and its result returns through :func:`from_mirror`."""
     def mirror(instance: Instance) -> CheckResult:
-        res = check(instance.dualize())
-        return CheckResult(name, res.verdict, instance, res.witness)
+        return from_mirror(name, check(instance.dualize()), instance)
     return mirror
 
 

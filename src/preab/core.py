@@ -26,29 +26,9 @@ class ConstraintViolation(ValueError):
 
 
 @dataclass(frozen=True)
-class CatObject:
-    """An object of a concrete category: a payload and the backend that
-    owns it.  A category and its opposite share their objects, so an
-    object's category is always a backend, never an :class:`Opposite`."""
-
-    category: "Category"
-    payload: Any
-
-    def __eq__(self, other):
-        if not isinstance(other, CatObject):
-            return NotImplemented
-        return self.category is other.category and self.payload == other.payload
-
-    def __hash__(self):
-        return hash((id(self.category), self.payload))
-
-    def __repr__(self):
-        return f"<{self.category.name}: {self.payload!r}>"
-
-
-@dataclass(frozen=True)
 class Morphism:
-    """A morphism with explicit domain and codomain.
+    """A morphism with explicit domain and codomain, and its category,
+    which its objects do not name (see :class:`Category`).
 
     The payload is backend-specific (a matrix for the concrete
     categories here, a wrapped base morphism in an opposite category).
@@ -56,8 +36,8 @@ class Morphism:
     """
 
     category: "Category"
-    dom: CatObject
-    cod: CatObject
+    dom: Any
+    cod: Any
     payload: Any
 
     def __eq__(self, other):
@@ -82,7 +62,7 @@ class Morphism:
         return self.category.negate(self)
 
     def __repr__(self):
-        return f"<{self.category.name} morphism {self.dom.payload!r} -> {self.cod.payload!r}>"
+        return f"<{self.category.name} morphism {self.dom!r} -> {self.cod!r}>"
 
 
 @dataclass
@@ -98,7 +78,7 @@ class Cone:
 
     kind: str  # "kernel" or "cokernel"
     of: Morphism
-    apex: CatObject
+    apex: Any
     leg: Morphism
 
     def factor(self, x: Morphism) -> Optional[Morphism]:
@@ -137,9 +117,9 @@ class Biproduct:
     """
 
     category: "Category"
-    a: CatObject
-    b: CatObject
-    ob: CatObject
+    a: Any
+    b: Any
+    ob: Any
 
 
 class _OppositeBiproduct(Biproduct):
@@ -149,7 +129,7 @@ class _OppositeBiproduct(Biproduct):
     opposite category is exactly the base pullback of the dual cospan,
     and conversely (see :func:`dualize_square`)."""
 
-    def __init__(self, op: "Opposite", a: CatObject, b: CatObject):
+    def __init__(self, op: "Opposite", a, b):
         self._base = op.base.biproduct(b, a)
         self.category, self.a, self.b, self.ob = op, a, b, self._base.ob
 
@@ -303,9 +283,10 @@ class Square:
 class Category:
     """What a concrete backend provides.
 
-    Backends are stateless singletons.  An object carries the backend
-    that owns its payload and a morphism its category, and mixing the
-    morphisms of two categories raises.  Each backend, and
+    Backends are stateless singletons.  An object is a payload that
+    ``make_object`` accepted and names no category, so a category and
+    its opposite share their objects; a morphism carries its category,
+    and mixing the morphisms of two categories raises.  Each backend, and
     :class:`Opposite`, defines ``zero_object``, ``is_zero_object``,
     ``identity``, ``zero_morphism``,
     ``is_zero_morphism``, ``compose(g, f)`` (``g @ f``), ``add``,
@@ -327,7 +308,7 @@ class Category:
 
     name: str = "?"
 
-    def try_morphism(self, dom: CatObject, cod: CatObject, payload) -> Optional[Morphism]:
+    def try_morphism(self, dom, cod, payload) -> Optional[Morphism]:
         try:
             return self.make_morphism(dom, cod, payload)
         except ConstraintViolation:
@@ -349,7 +330,7 @@ def opposite(c: Category) -> Category:
 class Opposite(Category):
     """Formal dual of a category, a view of its base.
 
-    The objects are the base's own objects, so every object method
+    The objects are the base's own payloads, so every object method
     delegates unchanged; only morphisms are wrapped: a morphism a -> b
     here wraps a base morphism b -> a.  Kernels become cokernels and
     vice versa, so every dual notion is available without

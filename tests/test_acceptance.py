@@ -56,7 +56,7 @@ def rand_morphism(cat, rng, bound=DIM_BOUND):
 def sample_mono(cat, rng, tries=60):
     for _ in range(tries):
         f = rand_morphism(cat, rng)
-        if cat.ambient_dim(kernel(f).apex.payload) == 0:
+        if cat.ambient_dim(kernel(f).apex) == 0:
             return f
     return kernel(rand_morphism(cat, rng)).leg
 
@@ -64,7 +64,7 @@ def sample_mono(cat, rng, tries=60):
 def sample_epi(cat, rng, tries=60):
     for _ in range(tries):
         f = rand_morphism(cat, rng)
-        if cat.ambient_dim(cokernel(f).apex.payload) == 0:
+        if cat.ambient_dim(cokernel(f).apex) == 0:
             return f
     return cokernel(rand_morphism(cat, rng)).leg
 

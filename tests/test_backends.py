@@ -43,12 +43,15 @@ def test_flag_object_validation():
     other = Subspace.span(2, [[0, 1]])
     with pytest.raises(ConstraintViolation):
         FILTVECT3.make_object((2, (line, other, Subspace.full(2))))  # not nested
-    FILTVECT3.make_object((2, (line, line, Subspace.full(2))))
+    # an object is its validated payload, with the layers as a tuple
+    assert FILTVECT3.make_object((2, [line, line, Subspace.full(2)])) == \
+        (2, (line, line, Subspace.full(2)))
+    assert VECTQ.make_object((2, [])) == VECTQ.obj(2) == (2, ())
 
 
 def test_latz_object_validation():
-    LATZ.make_object(0)
-    LATZ.make_object(3)
+    assert LATZ.make_object(0) == LATZ.zero_object() == 0
+    assert LATZ.make_object(2) == LATZ.obj(2) == 2
     with pytest.raises(ConstraintViolation):
         LATZ.make_object(-1)
     with pytest.raises(ConstraintViolation):
@@ -68,6 +71,38 @@ def test_make_morphism_shape_check():
         VECTQ.make_morphism(a, b, [[0, 0], [0, 0], [0, 0]])
 
 
+@pytest.mark.parametrize("name", ALL)
+def test_entry_points_reject_morphisms_of_the_opposite(name):
+    """A category and its opposite share their objects but never their
+    morphisms: every entry point that takes a morphism raises ValueError
+    on one of the other category, even when its ends fit."""
+    for cat in (BACKENDS[name], BACKENDS[name].opposite()):
+        other = cat.opposite()
+        rng = random.Random(f"foreign:{cat.name}")
+        for _ in range(5):
+            a = cat.random_object(rng, 3)
+            ida = cat.identity(a)
+            bp = cat.biproduct(a, a)
+            through = other.identity(bp.ob)
+            for g in (other.identity(a), other.random_morphism(rng, a, a)):
+                calls = [
+                    lambda: cat.is_zero_morphism(g), lambda: cat.negate(g),
+                    lambda: cat.is_iso(g), lambda: cat.kernel(g),
+                    lambda: cat.cokernel(g), lambda: cat.decompose(g),
+                    lambda: cat.compose(g, ida), lambda: cat.compose(ida, g),
+                    lambda: cat.add(g, ida), lambda: cat.add(ida, g),
+                    lambda: cat.divide_left(ida, g), lambda: cat.divide_left(g, ida),
+                    lambda: cat.divide_right(ida, g), lambda: cat.divide_right(g, ida),
+                    lambda: bp.pair(g, ida), lambda: bp.pair(ida, g),
+                    lambda: bp.copair(g, ida), lambda: bp.copair(ida, g),
+                    lambda: bp.split_out(through), lambda: bp.split_in(through),
+                    lambda: cat.morphism_to_json(g),
+                ]
+                for call in calls:
+                    with pytest.raises(ValueError, match="categor"):
+                        call()
+
+
 def test_subvect_layer_containment_enforced():
     a = SUBVECT.obj(1, (Subspace.full(1),))
     b = SUBVECT.obj(1, (Subspace.zero(1),))
@@ -85,7 +120,7 @@ def test_flag_constraint_matches_pushforward_containment(name):
     outcomes = set()
     for _ in range(150):
         a, b = cat.random_object(rng, 3), cat.random_object(rng, 3)
-        (n, xs), (m, ys) = a.payload, b.payload
+        (n, xs), (m, ys) = a, b
         mat = RatMatrix(m, n, (Fraction(rng.choice((0, 0, 1, -1))) for _ in range(m * n)))
         expected = all(y.contains(pushforward(mat, x)) for x, y in zip(xs, ys))
         assert (cat.try_morphism(a, b, mat) is not None) == expected
@@ -118,7 +153,7 @@ def test_adapted_columns_run_up_the_chain(name):
     cat = get_backend(name)
     rng = random.Random(f"adapted {name}")
     for _ in range(60):
-        n, layers = cat.random_object(rng, 4).payload
+        n, layers = cat.random_object(rng, 4)
         p, p_inv, block = _adapted_columns(n, layers)
         assert p @ p_inv == RatMatrix.identity(n)
         assert block == sorted(block)
@@ -150,9 +185,8 @@ def test_subspace_questions_take_one_elimination_each(monkeypatch):
     for _ in range(40):
         a, b = FILTVECT3.random_object(rng, 4), FILTVECT3.random_object(rng, 4)
         f = FILTVECT3.random_morphism(rng, a, b)
-        (n, xs), (_, ys) = a.payload, b.payload
-        assert count(FILTVECT3.check_payload_constraints, a.payload, b.payload,
-                     f.payload) == 0
+        (n, xs), (_, ys) = a, b
+        assert count(FILTVECT3.check_payload_constraints, a, b, f.payload) == 0
         assert count(ys[-1].contains, ys[0]) == 0
         for y in ys:
             assert count(preimage, f.payload, y) == 1
@@ -162,7 +196,7 @@ def test_subspace_questions_take_one_elimination_each(monkeypatch):
         assert count(FILTVECT3.kernel_data, f) == 1 + len(xs)
         assert count(FILTVECT3.cokernel_data, f) == 1 + sum(1 for y in ys if y.dim)
         assert count(Subspace.zero, n) == count(Subspace.full, n) == 0
-        assert count(FILTVECT3.direct_sum_payload, a.payload, b.payload) == 0
+        assert count(FILTVECT3.direct_sum_payload, a, b) == 0
         assert count(FILTVECT3.biproduct, a, b) == 0
     for _ in range(40):
         for cat in (VECTQ, SUBVECT, FILTVECT3):
@@ -188,7 +222,7 @@ def test_drop_coordinate_matches_respanning(name, monkeypatch):
     rng = random.Random(f"drop coordinate:{name}")
     seen = set()
     for _ in range(60):
-        n, layers = payload = cat.random_object(rng, 5).payload
+        n, layers = payload = cat.random_object(rng, 5)
         for j in range(n):
             calls.clear()
             m, dropped = cat.drop_coordinate(payload, j)
@@ -261,7 +295,7 @@ def _is_iso_by_inversion(cat, f):
     if inv is None:
         return False
     try:
-        cat.check_payload_constraints(f.cod.payload, f.dom.payload, inv)
+        cat.check_payload_constraints(f.cod, f.dom, inv)
     except ConstraintViolation:
         return False
     return True
@@ -270,7 +304,7 @@ def _is_iso_by_inversion(cat, f):
 def _same_dim_object(cat, rng, a):
     while True:
         b = cat.random_object(rng, 3)
-        if b.payload[0] == a.payload[0]:
+        if b[0] == a[0]:
             return b
 
 
@@ -322,7 +356,7 @@ def test_generation_deterministic(name):
             a = cat.random_object(rng, 4)
             b = cat.random_object(rng, 4)
             f = cat.random_morphism(rng, a, b)
-            out.append((a.payload, b.payload, f.payload))
+            out.append((a, b, f.payload))
         return out
 
     assert trace(f"det:{name}") == trace(f"det:{name}")

@@ -307,8 +307,8 @@ def test_read_off_canonical_forms_equal_the_two_step_forms():
         n = m.cols
         read_off = [ours, pre, Subspace.zero(n), Subspace.full(n),
                     pushforward(m, Subspace.zero(n))]
-        read_off += FILTVECT3.direct_sum_payload(FILTVECT3.random_object(rng, 4).payload,
-                                                 FILTVECT3.random_object(rng, 4).payload)[1]
+        read_off += FILTVECT3.direct_sum_payload(FILTVECT3.random_object(rng, 4),
+                                                 FILTVECT3.random_object(rng, 4))[1]
         for s in read_off:
             assert Subspace(s.ambient_dim, s.basis) == s
     # the forward elimination alone is not canonical, so the comparison bites

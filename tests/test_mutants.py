@@ -112,9 +112,8 @@ def nonzero_object(cat, rng):
     return a
 
 
-def injection(a, b):
-    """A -> A (+) B, the kernel of the second projection."""
-    c = a.category
+def injection(c, a, b):
+    """A -> A (+) B in c, the kernel of the second projection."""
     return c.biproduct(a, b).pair(c.identity(a), c.zero_morphism(a, b))
 
 
@@ -124,7 +123,7 @@ def test_denied_inner_kernel_fails_right_ii(name, monkeypatch, tmp_path, capsys)
     rng = random.Random(f"mutants:right.ii:{name}")
     a, b = nonzero_object(cat, rng), nonzero_object(cat, rng)
     # the injection of a, then the projection back: the composite is id_a
-    inner = injection(a, b)
+    inner = injection(cat, a, b)
     outer = cat.biproduct(a, b).copair(cat.identity(a), cat.zero_morphism(b, a))
     inst = PairInstance(outer=outer, inner=inner)
     assert run_check("right.ii", inst).verdict == "pass"
@@ -138,8 +137,8 @@ def test_denied_composite_kernel_fails_right_vi(name, monkeypatch, tmp_path, cap
     cat = BACKENDS[name]
     rng = random.Random(f"mutants:right.vi:{name}")
     a, b, c = (nonzero_object(cat, rng) for _ in range(3))
-    inner = injection(a, b)
-    inst = PairInstance(outer=injection(inner.cod, c), inner=inner)
+    inner = injection(cat, a, b)
+    inst = PairInstance(outer=injection(cat, inner.cod, c), inner=inner)
     assert run_check("right.vi", inst).verdict == "pass"
     deny_kernel(monkeypatch, inst.composite)
     assert_fails_and_replays(run_check("right.vi", inst), "right.vi",
@@ -175,7 +174,7 @@ def test_probe_failure_names_its_sample(name, monkeypatch, tmp_path, capsys):
     cat = BACKENDS[name]
     seed, steps = f"mutants:probe:{name}", 6
     rng = random.Random(f"mutants:probe leg:{name}")
-    f = injection(nonzero_object(cat, rng), nonzero_object(cat, rng))
+    f = injection(cat, nonzero_object(cat, rng), nonzero_object(cat, rng))
     assert probe_semistable(f, "kernel", steps, seed).verdict == "pass"
     # each sample's map and moved copy, drawn as probe_semistable draws them;
     # the mutant denies the first copy after sample 0 that no earlier sample made
@@ -224,7 +223,13 @@ def test_audit_shrinks_mutant_failures_to_replayable_witnesses(monkeypatch, tmp_
     assert rep.verdict == "preabelian-only"
     assert {w["check"] for w in rep.witnesses} == {"right.i", "left.i"}
     for w in rep.witnesses:
-        assert w["result"]["witness"]["reason"] == "middle-arrow-not-epi"
+        witness = w["result"]["witness"]
+        if w["check"] == "left.i":
+            # the right.i witness of the dual instance, which speaks of
+            # the opposite category, nests whole under "dual"
+            assert list(witness) == ["dual"]
+            witness = witness["dual"]
+        assert witness["reason"] == "middle-arrow-not-epi"
         code, printed = replay(w["result"]["instance"], w["check"], tmp_path, capsys)
         assert code == 2
         assert printed == w["result"]
