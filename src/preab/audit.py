@@ -51,7 +51,7 @@ from .conditions import (
     probe_semistable,
     run_check,
 )
-from .core import Category, ConstraintViolation, cokernel, kernel, pushout
+from .core import Category, cokernel, kernel, pushout
 from .linalg import RatMatrix
 
 CONDITION_NAMES = tuple(str(c) for c in ALL_CONDITIONS)
@@ -265,13 +265,8 @@ def _plan(inst):
 
     def rebuild(ps, ms):
         obs = [a if p is a else cat.make_object(p) for a, p in zip(payloads, ps)]
-        built = {}
-        for name, (_, dom, cod) in edges.items():
-            f = cat.try_morphism(obs[dom], obs[cod], ms[name])
-            if f is None:
-                raise ConstraintViolation("edited matrix violates structure")
-            built[name] = f
-        return inst.with_edges(built)
+        return inst.with_edges({name: cat.make_morphism(obs[dom], obs[cod], ms[name])
+                                for name, (_, dom, cod) in edges.items()})
 
     return payloads, mats, sites, rebuild
 

@@ -19,7 +19,15 @@ from ..core import (
     Decomposition,
     Morphism,
 )
-from ..linalg import RatMatrix, hstack, invert, solve_right, vstack
+from ..linalg import (
+    RatMatrix,
+    hstack,
+    invert,
+    matrix_from_json,
+    matrix_to_json,
+    solve_right,
+    vstack,
+)
 
 
 class _MatrixBiproduct(Biproduct):
@@ -60,9 +68,13 @@ class _MatrixBiproduct(Biproduct):
 class MatrixBackend(Category):
     """Category base class with RatMatrix morphism payloads.
 
-    Besides ``make_object``, ``zero_object``, generation and JSON (see
-    :class:`~preab.core.Category`), a subclass defines eight hooks on
-    objects, which are payloads: ``ambient_dim(payload)``;
+    Morphism JSON lives here: ``morphism_to_json`` writes the backend
+    name, both objects and the matrix, and ``morphism_from_json`` reads
+    them back through ``make_morphism``.  A subclass supplies only object
+    JSON (``object_to_json`` and ``object_from_json``).  Besides that,
+    ``make_object``, ``zero_object`` and generation (see
+    :class:`~preab.core.Category`), it defines eight hooks on objects,
+    which are payloads: ``ambient_dim(payload)``;
     ``check_payload_constraints(dom_payload, cod_payload, m)``, which
     raises ConstraintViolation when ``m`` breaks the structure;
     ``direct_sum_payload(a_payload, b_payload)``, the biproduct object;
@@ -254,3 +266,22 @@ class MatrixBackend(Category):
                 f"({self.ambient_dim(cod)} x {self.ambient_dim(dom)} expected)")
         self.check_payload_constraints(dom, cod, payload)
         return Morphism(self, dom, cod, payload)
+
+    # -- serialization ------------------------------------------------------
+    def morphism_to_json(self, f: Morphism) -> dict:
+        self._own(f)
+        return {
+            "backend": self.name,
+            "dom": self.object_to_json(f.dom),
+            "cod": self.object_to_json(f.cod),
+            "matrix": matrix_to_json(f.payload),
+        }
+
+    def morphism_from_json(self, obj: dict) -> Morphism:
+        try:
+            dom = self.object_from_json(obj["dom"])
+            cod = self.object_from_json(obj["cod"])
+            matrix = matrix_from_json(obj["matrix"])
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"malformed {self.name} morphism: {exc}") from exc
+        return self.make_morphism(dom, cod, matrix)

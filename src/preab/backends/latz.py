@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..core import ConstraintViolation, Morphism
 from ..lattice import integer_kernel, pure_quotient_rows
-from ..linalg import RatMatrix, check_declared_dim, matrix_from_json, matrix_to_json
+from ..linalg import RatMatrix, check_declared_dim
 from .base import MatrixBackend
 
 
@@ -104,20 +104,6 @@ class LatZBackend(MatrixBackend):
         check_declared_dim(rank, "latz rank")
         return self.make_object(rank)
 
-    def morphism_to_json(self, f: Morphism) -> dict:
-        self._own(f)
-        return {
-            "backend": self.name,
-            "dom": self.object_to_json(f.dom),
-            "cod": self.object_to_json(f.cod),
-            "matrix": matrix_to_json(f.payload),
-        }
-
-    def morphism_from_json(self, obj: dict) -> Morphism:
-        try:
-            dom = self.object_from_json(obj["dom"])
-            cod = self.object_from_json(obj["cod"])
-            matrix = matrix_from_json(obj["matrix"])
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed latz morphism: {exc}") from exc
-        return self.make_morphism(dom, cod, matrix)
+    # bench/tracer.py wraps these in this class's own dict to count calls per backend
+    morphism_to_json = MatrixBackend.morphism_to_json
+    morphism_from_json = MatrixBackend.morphism_from_json

@@ -444,9 +444,12 @@ def check_left(cond, instance: Instance) -> CheckResult:
     The instance is transported to the opposite category, the matching
     right-side checker runs there, and the verdict is relabeled.  The
     returned result keeps the original instance so it serializes (and
-    replays) on the base side.
+    replays) on the base side.  A right-side condition raises ValueError.
     """
-    return _run(f"left.{ConditionId.parse(cond).index}", instance)
+    cond = ConditionId.parse(cond)
+    if cond.side != "left":
+        raise ValueError(f"check_left takes a left-side condition, got {cond}")
+    return _run(str(cond), instance)
 
 
 def check_condition(cond, instance: Instance) -> CheckResult:

@@ -485,52 +485,47 @@ def classify(f: Morphism) -> MorphismClass:
     return decompose(f).flags()
 
 
-def _pushout_data(alpha: Morphism, g: Morphism):
-    """Pushout of the span (alpha: C -> A, g: C -> D).
-
-    Built as the cokernel of the combined map C -> A (+) D; returns the
-    square together with the cokernel cone and the biproduct, which the
-    mediator searches need.
-    """
+def _pushout_cone(alpha: Morphism, g: Morphism) -> tuple[Cone, Biproduct]:
+    """The cokernel of the span's combined map C -> A (+) D, and that biproduct."""
     if alpha.dom != g.dom:
         raise ValueError("span legs must share their domain")
     c = alpha.category
     bp = c.biproduct(alpha.cod, g.cod)
-    cone = c.cokernel(bp.pair(alpha, c.negate(g)))
-    bottom, right = bp.split_out(cone.leg)
-    sq = Square(top=g, left=alpha, bottom=bottom, right=right, provenance="pushout")
-    return sq, cone, bp
+    return c.cokernel(bp.pair(alpha, c.negate(g))), bp
 
 
-def _pullback_data(f: Morphism, t: Morphism):
-    """Pullback of the cospan (f: A -> B, t: D -> B), dual construction."""
+def _pullback_cone(f: Morphism, t: Morphism) -> tuple[Cone, Biproduct]:
+    """The kernel of the cospan's combined map A (+) D -> B, and that biproduct."""
     if f.cod != t.cod:
         raise ValueError("cospan legs must share their codomain")
     c = f.category
     bp = c.biproduct(f.dom, t.dom)
-    cone = c.kernel(bp.copair(f, c.negate(t)))
-    left, top = bp.split_in(cone.leg)
-    sq = Square(top=top, left=left, bottom=f, right=t, provenance="pullback")
-    return sq, cone, bp
+    return c.kernel(bp.copair(f, c.negate(t))), bp
 
 
 def pushout(alpha: Morphism, g: Morphism) -> Square:
-    return _pushout_data(alpha, g)[0]
+    """Pushout of the span (alpha: C -> A, g: C -> D)."""
+    cone, bp = _pushout_cone(alpha, g)
+    bottom, right = bp.split_out(cone.leg)
+    return Square(top=g, left=alpha, bottom=bottom, right=right, provenance="pushout")
 
 
 def pullback(f: Morphism, t: Morphism) -> Square:
-    return _pullback_data(f, t)[0]
+    """Pullback of the cospan (f: A -> B, t: D -> B), the dual construction."""
+    cone, bp = _pullback_cone(f, t)
+    left, top = bp.split_in(cone.leg)
+    return Square(top=top, left=left, bottom=f, right=t, provenance="pullback")
 
 
 def pullback_mediator(sq: Square) -> Optional[Morphism]:
     """The comparison from sq's apex into the canonical pullback of its cospan."""
-    _, cone, bp = _pullback_data(sq.bottom, sq.right)
+    cone, bp = _pullback_cone(sq.bottom, sq.right)
     return cone.factor(bp.pair(sq.left, sq.top))
 
 
 def pushout_mediator(sq: Square) -> Optional[Morphism]:
     """The comparison from the canonical pushout of sq's span to its corner."""
-    _, cone, bp = _pushout_data(sq.left, sq.top)
+    cone, bp = _pushout_cone(sq.left, sq.top)
     return cone.factor(bp.copair(sq.bottom, sq.right))
 
 

@@ -147,13 +147,17 @@ class RatMatrix:
         return cls._of(rows, cols, (0,) * (rows * cols))
 
     def entry(self, i: int, j: int) -> Fraction:
+        _check_index(i, self.rows, "row")
+        _check_index(j, self.cols, "column")
         return Fraction(self._num[i * self.cols + j], self._den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
+        _check_index(i, self.rows, "row")
         return _fractions(self._num[i * self.cols : (i + 1) * self.cols], self._den)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return _fractions(self._num[j :: self.cols], self._den) if self.cols else ()
+        _check_index(j, self.cols, "column")
+        return _fractions(self._num[j :: self.cols], self._den)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -215,23 +219,27 @@ class RatMatrix:
         return RatMatrix._of(n, self.rows, [x for j in range(n) for x in num[j::n]], self._den)
 
     def delete_row(self, i: int) -> "RatMatrix":
+        _check_index(i, self.rows, "row")
         n = self.cols
         return RatMatrix._of(self.rows - 1, n, self._num[: i * n] + self._num[(i + 1) * n :],
                              self._den)
 
     def delete_column(self, j: int) -> "RatMatrix":
+        _check_index(j, self.cols, "column")
         n = self.cols
         num = [x for k, x in enumerate(self._num) if k % n != j]
         return RatMatrix._of(self.rows, n - 1, num, self._den)
 
     def split_rows(self, k: int) -> tuple["RatMatrix", "RatMatrix"]:
         """The first ``k`` rows and the rest, as two matrices."""
+        _check_index(k, self.rows + 1, "row split")
         n, cut = self.cols, k * self.cols
         return (RatMatrix._of(k, n, self._num[:cut], self._den),
                 RatMatrix._of(self.rows - k, n, self._num[cut:], self._den))
 
     def split_columns(self, k: int) -> tuple["RatMatrix", "RatMatrix"]:
         """The first ``k`` columns and the rest, as two matrices."""
+        _check_index(k, self.cols + 1, "column split")
         n, num = self.cols, self._num
         starts = range(0, self.rows * n, n) if n else ()
         left = [x for i in starts for x in num[i : i + k]]
@@ -240,6 +248,8 @@ class RatMatrix:
                 RatMatrix._of(self.rows, n - k, right, self._den))
 
     def with_entry(self, i: int, j: int, value) -> "RatMatrix":
+        _check_index(i, self.rows, "row")
+        _check_index(j, self.cols, "column")
         value = frac(value)
         d = lcm(self._den, value.denominator)
         s = d // self._den
@@ -252,6 +262,11 @@ class RatMatrix:
             return f"RatMatrix({self.rows}x{self.cols})"
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"RatMatrix[{body}]"
+
+
+def _check_index(k: int, n: int, what: str) -> None:
+    if not 0 <= k < n:
+        raise IndexError(f"{what} index {k} is outside range({n})")
 
 
 def _fractions(num: Sequence[int], den: int) -> tuple[Fraction, ...]:

@@ -512,6 +512,13 @@ def test_run_check_dispatch():
         run_check("right.iii", inst)  # wrong instance kind
 
 
+def test_check_left_refuses_a_right_condition():
+    inst = MorphismInstance(VECTQ.identity(VECTQ.obj(1)))
+    with pytest.raises(ValueError, match="left-side"):
+        check_left("right.i", inst)
+    assert check_left("left.i", inst).check == "left.i"
+
+
 @pytest.mark.parametrize("cond", [5, None, 1.5, ["right.i"]])
 def test_condition_that_is_not_a_string_raises_value_error(cond):
     from preab.audit import generate_instance

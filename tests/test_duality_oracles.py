@@ -17,9 +17,16 @@ column Hermite form equals the integer kernel of its annihilator.
 
 *Indecomposables.*  By its Smith form, every ``latz`` morphism is a
 direct sum of 0 -> Z (mono, strict), Z -> 0 (epi, strict) and
-Z --d--> Z (mono and epi, strict exactly when |d| = 1).  Mono, epi and
-strict hold for a direct sum exactly when they hold for every summand,
-and isomorphisms on either side change none of them.
+Z --d--> Z (mono and epi, strict exactly when |d| = 1).  On a flag
+backend with k layers, write (Q, F_a) for the line whose layers a..k-1
+are full and the rest zero, a in 0..k.  A flag morphism is a
+representation of a type-A quiver with injective arms, so by Gabriel's
+theorem it is a direct sum of (Q, F_a) -> 0 (epi, strict),
+0 -> (Q, F_b) (mono, strict) and the identity (Q, F_a) -> (Q, F_b),
+which is a morphism exactly when b <= a (mono and epi, strict exactly
+when b == a).  Mono, epi and strict hold for a direct sum exactly when
+they hold for every summand, and isomorphisms on either side change
+none of them.
 """
 
 import random
@@ -28,6 +35,7 @@ import pytest
 
 from preab import (
     BACKENDS,
+    ConstraintViolation,
     MorphismClass,
     classify,
     cokernel,
@@ -40,7 +48,7 @@ from preab import (
 from preab.backends import LATZ
 from preab.backends.flags import FlagBackend
 from preab.lattice import column_hnf, integer_kernel
-from preab.linalg import RatMatrix, hstack, kernel_basis, rank
+from preab.linalg import RatMatrix, Subspace, hstack, kernel_basis, rank
 
 ALL = sorted(BACKENDS)
 
@@ -118,13 +126,17 @@ def _latz_sum(summands):
     mono = all(cod for dom, cod, _ in summands if dom)  # no Z -> 0
     epi = all(dom for dom, cod, _ in summands if cod)  # no 0 -> Z
     strict = all(d is None or abs(d) == 1 for _, _, d in summands)
-    flags = MorphismClass(mono=mono, epi=epi, bimorphism=mono and epi,
-                          iso=mono and epi and strict, strict=strict,
-                          is_kernel=mono and strict, is_cokernel=epi and strict)
-    return LATZ.make_morphism(n, m, RatMatrix(m, n, entries)), flags
+    return LATZ.make_morphism(n, m, RatMatrix(m, n, entries)), _flags(mono, epi, strict)
 
 
-def _assert_latz_flags(f, flags):
+def _flags(mono, epi, strict):
+    """The MorphismClass that mono, epi and strict determine."""
+    return MorphismClass(mono=mono, epi=epi, bimorphism=mono and epi,
+                         iso=mono and epi and strict, strict=strict,
+                         is_kernel=mono and strict, is_cokernel=epi and strict)
+
+
+def _assert_flags(f, flags):
     """f classifies as flags, dualize(f) with mono and epi traded, and the
     middle arrow of either is a bimorphism."""
     dual = MorphismClass(mono=flags.epi, epi=flags.mono, bimorphism=flags.bimorphism,
@@ -137,9 +149,9 @@ def _assert_latz_flags(f, flags):
 
 def test_latz_indecomposables_classify_as_the_table_says():
     for summand in LATZ_INDECOMPOSABLES:
-        _assert_latz_flags(*_latz_sum([summand]))
+        _assert_flags(*_latz_sum([summand]))
     # 0 -> 0, the empty sum, is an iso
-    _assert_latz_flags(*_latz_sum([]))
+    _assert_flags(*_latz_sum([]))
 
 
 def test_latz_sums_of_indecomposables_and_their_iso_copies():
@@ -150,6 +162,74 @@ def test_latz_sums_of_indecomposables_and_their_iso_copies():
                               for _ in range(rng.randint(1, 4))])
         copy = LATZ.random_iso(rng, f.cod) @ f @ LATZ.random_iso(rng, f.dom)
         for g in (f, copy):
-            _assert_latz_flags(g, flags)
+            _assert_flags(g, flags)
         seen.add((flags.mono, flags.epi, flags.strict))
     assert len(seen) == 8
+
+
+FLAG_BACKENDS = sorted(name for name in ALL if isinstance(BACKENDS[name], FlagBackend))
+
+
+def _flag_indecomposables(k):
+    """(a, b) for each indecomposable with k layers: (a, None) is
+    (Q, F_a) -> 0, (None, b) is 0 -> (Q, F_b), and (a, b) the identity."""
+    lines = range(k + 1)
+    return ([(a, None) for a in lines] + [(None, b) for b in lines]
+            + [(a, b) for a in lines for b in lines if b <= a])
+
+
+def _flag_sum(cat, summands):
+    """The block-diagonal direct sum of flag indecomposables, and the flags it must have."""
+    def lines(starts):
+        # (Q, F_a) (+) ... : layer i is spanned by the unit vectors of the lines with a <= i
+        n = len(starts)
+        units = [[int(r == j) for r in range(n)] for j in range(n)]
+        return cat.obj(n, [Subspace.span(n, [units[j] for j, a in enumerate(starts) if a <= i])
+                           for i in range(cat.n_layers)])
+
+    dom = [a for a, _ in summands if a is not None]
+    cod = [b for _, b in summands if b is not None]
+    n, m = len(dom), len(cod)
+    entries, row, col = [0] * (m * n), 0, 0
+    for a, b in summands:
+        if a is not None and b is not None:
+            entries[row * n + col] = 1
+        row, col = row + (b is not None), col + (a is not None)
+    mono = all(b is not None for a, b in summands if a is not None)  # no (Q, F_a) -> 0
+    epi = all(a is not None for a, b in summands if b is not None)  # no 0 -> (Q, F_b)
+    strict = all(a == b for a, b in summands if a is not None and b is not None)
+    f = cat.make_morphism(lines(dom), lines(cod), RatMatrix(m, n, entries))
+    return f, _flags(mono, epi, strict)
+
+
+@pytest.mark.parametrize("name", FLAG_BACKENDS)
+def test_flag_indecomposables_classify_as_the_table_says(name):
+    cat = BACKENDS[name]
+    table = _flag_indecomposables(cat.n_layers)
+    non_strict = [(a, b) for a, b in table if None not in (a, b) and b < a]
+    assert (len(table), len(non_strict)) == {
+        "vectq": (3, 0), "subvect": (7, 1), "filtvect3": (18, 6)}[name]
+    for summand in table:
+        f, flags = _flag_sum(cat, [summand])
+        _assert_flags(f, flags)
+        assert flags.strict == (summand not in non_strict)
+    # (Q, F_a) -> (Q, F_b) is no morphism when b > a
+    for a in range(cat.n_layers):
+        with pytest.raises(ConstraintViolation):
+            _flag_sum(cat, [(a, a + 1)])
+
+
+@pytest.mark.parametrize("name", FLAG_BACKENDS)
+def test_flag_sums_of_indecomposables_and_their_iso_copies(name):
+    cat = BACKENDS[name]
+    table = _flag_indecomposables(cat.n_layers)
+    rng = random.Random(f"flag indecomposables:{name}")
+    seen = set()
+    for _ in range(300):
+        f, flags = _flag_sum(cat, [rng.choice(table) for _ in range(rng.randint(1, 4))])
+        copy = cat.random_iso(rng, f.cod) @ f @ cat.random_iso(rng, f.dom)
+        for g in (f, copy):
+            _assert_flags(g, flags)
+        seen.add((flags.mono, flags.epi, flags.strict))
+    # vectq is abelian, so every morphism there is strict
+    assert len(seen) == (4 if name == "vectq" else 8)

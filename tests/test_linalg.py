@@ -168,6 +168,25 @@ def test_stacking():
     assert block_diag(_m([[1]]), _m([[2]])) == _m([[1, 0], [0, 2]])
 
 
+def test_index_methods_refuse_out_of_range_indices():
+    m = _m([[1, 2], [3, 4]])
+    for call in (lambda: m.entry(0, 2), lambda: m.entry(2, 0), lambda: m.entry(-1, 0),
+                 lambda: m.row(2), lambda: m.row(-1), lambda: m.column(2),
+                 lambda: m.column(-1), lambda: m.delete_row(2), lambda: m.delete_row(-1),
+                 lambda: m.delete_column(2), lambda: m.delete_column(-1),
+                 lambda: m.with_entry(2, 0, 5), lambda: m.with_entry(0, -1, 5),
+                 lambda: m.split_rows(3), lambda: m.split_rows(-1),
+                 lambda: m.split_columns(3), lambda: m.split_columns(-1)):
+        with pytest.raises(IndexError):
+            call()
+    # the edges of the valid ranges still work
+    assert (m.entry(1, 1), m.row(1), m.column(0)) == (4, (3, 4), (1, 3))
+    assert m.delete_row(1) == _m([[1, 2]]) and m.delete_column(0) == _m([[2], [4]])
+    assert m.with_entry(1, 0, 7) == _m([[1, 2], [7, 4]])
+    assert [t.shape for t in m.split_rows(2) + m.split_columns(0)] == [
+        (2, 2), (0, 2), (2, 0), (2, 2)]
+
+
 def test_canonical_form_is_span_invariant():
     # same plane presented three different ways
     s1 = _span(3, (1, 1, 0), (0, 0, 1))
