@@ -1,8 +1,9 @@
 """Core machinery for additive categories with kernels and cokernels.
 
 A :class:`Category` supplies composition, the additive structure,
-biproducts, kernel/cokernel constructors and canonical decompositions;
-everything else here is generic: morphism classification, pushouts
+biproducts, kernel/cokernel constructors and canonical decompositions,
+and may override morphism classification, which by default reads a
+decomposition; everything else here is generic: pushouts
 and pullbacks via biproducts, induced maps between kernels and
 cokernels, and the opposite category.  Pushouts, pullbacks and their
 mediators use a :class:`Biproduct` only through its maps ``pair``,
@@ -164,6 +165,26 @@ class MorphismClass:
     is_kernel: bool
     is_cokernel: bool
 
+    @classmethod
+    def derive(cls, mono: bool, epi: bool, strict: bool) -> "MorphismClass":
+        """All seven flags from mono, epi and strict.
+
+        A morphism is a kernel iff it is mono and strict, and a cokernel
+        iff it is epi and strict, so no search over candidate morphisms
+        is needed.  It is an iso iff it is mono, epi and strict: when f
+        is mono its coimage leg is an iso, when f is epi its image leg
+        is, and then f = im @ fbar @ coim is an iso exactly when fbar is.
+        """
+        return cls(
+            mono=mono,
+            epi=epi,
+            bimorphism=mono and epi,
+            iso=mono and epi and strict,
+            strict=strict,
+            is_kernel=mono and strict,
+            is_cokernel=epi and strict,
+        )
+
     def to_json(self) -> dict:
         return {
             "mono": self.mono,
@@ -225,27 +246,10 @@ class Decomposition:
         return self.im @ self.fbar @ self.coim
 
     def flags(self) -> MorphismClass:
-        """Mono/epi/iso/strict flags of f plus the derived kernel/cokernel tests.
-
-        Mono, epi and strict are read off this decomposition, and the
-        other four flags follow from them.  A morphism is a kernel iff it
-        is mono and strict, and a cokernel iff it is epi and strict, so no
-        search over candidate morphisms is needed.  It is an iso iff it is
-        mono, epi and strict: when f is mono its coimage leg is an iso,
-        when f is epi its image leg is, and then f = im @ fbar @ coim is
-        an iso exactly when fbar is.
-        """
-        mono, epi = self.mono, self.epi
-        strict = self.fbar.category.is_iso(self.fbar)
-        return MorphismClass(
-            mono=mono,
-            epi=epi,
-            bimorphism=mono and epi,
-            iso=mono and epi and strict,
-            strict=strict,
-            is_kernel=mono and strict,
-            is_cokernel=epi and strict,
-        )
+        """The flags of f: mono and epi as recorded here, strict when fbar
+        is an iso, and the rest derived (:meth:`MorphismClass.derive`)."""
+        return MorphismClass.derive(self.mono, self.epi,
+                                    self.fbar.category.is_iso(self.fbar))
 
 
 @dataclass(frozen=True)
@@ -293,7 +297,10 @@ class Category:
     ``negate``, ``biproduct(a, b)`` (a :class:`Biproduct` defining the
     maps ``pair``, ``copair``, ``split_out`` and ``split_in``),
     ``kernel`` and ``cokernel`` (each a :class:`Cone`), ``decompose``
-    (the :class:`Decomposition` of a morphism), ``is_iso``, the generators
+    (the :class:`Decomposition` of a morphism), ``classify`` (its
+    :class:`MorphismClass`; by default the flags of its decomposition,
+    which a backend overrides when it can read them off more cheaply),
+    ``is_iso``, the generators
     ``random_object(rng, dim_bound)``, ``random_morphism(rng, a, b)`` and
     ``random_iso(rng, a)``, and ``object_to_json`` and ``morphism_to_json``.
     A backend also parses JSON with ``object_from_json`` and
@@ -307,6 +314,9 @@ class Category:
     """
 
     name: str = "?"
+
+    def classify(self, f: Morphism) -> MorphismClass:
+        return self.decompose(f).flags()
 
     def try_morphism(self, dom, cod, payload) -> Optional[Morphism]:
         try:
@@ -398,6 +408,10 @@ class Opposite(Category):
         return Decomposition(coim=self.wrap(d.im), fbar=self.wrap(d.fbar),
                              im=self.wrap(d.coim), mono=d.epi, epi=d.mono)
 
+    def classify(self, f):
+        c = self.base.classify(self.unwrap(f))
+        return MorphismClass.derive(mono=c.epi, epi=c.mono, strict=c.strict)
+
     # division
     def divide_left(self, g, h):
         u = self.base.divide_right(self.unwrap(g), self.unwrap(h))
@@ -481,8 +495,14 @@ def decompose(f: Morphism) -> Decomposition:
 
 
 def classify(f: Morphism) -> MorphismClass:
-    """The flags of f, read off one decomposition (:meth:`Decomposition.flags`)."""
-    return decompose(f).flags()
+    """The mono, epi and strict flags of f and those derived from them.
+
+    Each category answers through its ``classify`` hook: by default it
+    reads the flags off one decomposition (:meth:`Decomposition.flags`);
+    ``latz`` reads them off two Hermite forms and builds no
+    decomposition; an opposite category swaps its base's mono and epi.
+    """
+    return f.category.classify(f)
 
 
 def _pushout_cone(alpha: Morphism, g: Morphism) -> tuple[Cone, Biproduct]:

@@ -14,6 +14,9 @@ strict exactly when dim f(F_i) = dim(f(V) meet G_i) for every layer,
 that is rank(f F_i) == rank f + dim G_i - rank[f | G_i].  A non-zero
 ``latz`` morphism is strict exactly when its image is saturated: its
 column Hermite form equals the integer kernel of its annihilator.
+``latz`` is also checked against sympy, which shares no code with
+preab: f is mono at full column rank, epi at full row rank, and strict
+exactly when every non-zero invariant of its Smith form is a unit.
 
 *Indecomposables.*  By its Smith form, every ``latz`` morphism is a
 direct sum of 0 -> Z (mono, strict), Z -> 0 (epi, strict) and
@@ -32,6 +35,8 @@ none of them.
 import random
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form
 
 from preab import (
     BACKENDS,
@@ -109,6 +114,28 @@ def test_strictness_matches_its_closed_form(name):
         seen.add(strict)
     # vectq is abelian, so every morphism there is strict
     assert seen == ({True} if name == "vectq" else {True, False})
+
+
+def _sympy_flags(m):
+    """Mono, epi and strict of the latz morphism m, by sympy."""
+    sy = sympy.Matrix(m.rows, m.cols, lambda i, j: int(m.entry(i, j)))
+    r = sy.rank()
+    d = smith_normal_form(sy, domain=sympy.ZZ)
+    units = all(abs(d[i, i]) == 1 for i in range(min(m.rows, m.cols)) if d[i, i] != 0)
+    return r == m.cols, r == m.rows, units
+
+
+def test_latz_classify_matches_sympy():
+    rng = random.Random("latz classify against sympy")
+    seen = set()
+    for _ in range(400):
+        f = _draw(LATZ, rng, 4)
+        mono, epi, strict = _sympy_flags(f.payload)
+        assert classify(f) == _flags(mono, epi, strict) == decompose(f).flags()
+        fo = dualize(f)
+        assert classify(fo) == _flags(epi, mono, strict) == decompose(fo).flags()
+        seen.add((mono, epi, strict))
+    assert len(seen) == 8
 
 
 # latz indecomposables as (dom rank, cod rank, d): 0 -> Z, Z -> 0, Z --d--> Z
