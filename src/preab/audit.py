@@ -104,7 +104,7 @@ class AuditConfig:
             raise ValueError(f"dim_bound {self.dim_bound} is above the limit of {MAX_DIM_BOUND}")
         _positive_int(self.min_nonvacuous, "min_nonvacuous")
         _positive_int(self.shrink_budget, "shrink_budget")
-        _positive_int(self.probe_steps, "probe_steps")
+        _positive_int(self.probe_steps, "probe_steps", 1)
         if not isinstance(self.samples, dict):
             raise ValueError("samples must be a mapping")
         for key, count in self.samples.items():

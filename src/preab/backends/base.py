@@ -2,9 +2,8 @@
 
 A subclass only has to say what its objects are (ambient dimension plus
 whatever extra structure it carries), when a matrix respects that
-structure, and how to build kernel, cokernel, coimage and image
-objects.  Composition, biproducts, division, iso testing, the cone
-plumbing and the canonical decomposition are generic.
+structure, how to build kernel, cokernel, coimage and image objects,
+and a morphism's rank and strictness.  The rest is generic.
 """
 
 from __future__ import annotations
@@ -18,11 +17,11 @@ from ..core import (
     ConstraintViolation,
     Decomposition,
     Morphism,
+    MorphismClass,
 )
 from ..linalg import (
     RatMatrix,
     hstack,
-    invert,
     matrix_from_json,
     matrix_to_json,
     solve_right,
@@ -73,8 +72,8 @@ class MatrixBackend(Category):
     them back through ``make_morphism``.  A subclass supplies only object
     JSON (``object_to_json`` and ``object_from_json``).  Besides that,
     ``make_object``, ``zero_object`` and generation (see
-    :class:`~preab.core.Category`), it defines eight hooks on objects,
-    which are payloads: ``ambient_dim(payload)``;
+    :class:`~preab.core.Category`), it defines nine hooks on objects,
+    which are payloads, and morphisms: ``ambient_dim(payload)``;
     ``check_payload_constraints(dom_payload, cod_payload, m)``, which
     raises ConstraintViolation when ``m`` breaks the structure;
     ``direct_sum_payload(a_payload, b_payload)``, the biproduct object;
@@ -87,7 +86,11 @@ class MatrixBackend(Category):
     ker(cok f) (apex -> cod f), read off f itself.  A coimage leg is
     r x n and an image leg m x r, for r the rank of f; when r == n
     (r == m) the hook returns the domain (codomain) itself and the
-    identity matrix, with no apex structure computed.
+    identity matrix, with no apex structure computed.  The ninth,
+    ``rank_and_strict(f)``, gives the rank of f and whether f is strict;
+    ``classify`` reads mono (full column rank), epi (full row rank) and
+    strict off it, and ``is_iso(f)`` is ``classify(f).iso``, with no
+    inverse built.
 
     ``decompose`` builds f = im @ fbar @ coim from those two legs, so no
     kernel or cokernel cone of f is built: f is mono when its coimage leg
@@ -105,20 +108,17 @@ class MatrixBackend(Category):
     ``id_A`` is ``0 -> A`` from the zero object and its cokernel
     ``A -> 0``; ``0: A -> B`` decomposes through the zero object, and
     ``id_A`` as ``id_A @ id_A @ id_A``; dividing by an identity returns
-    the dividend; and an identity is an iso.  An identity is a morphism
-    with ``dom == cod`` and the identity matrix; the identity matrix
-    between two different objects (such as the bimorphism
-    (V, 0) -> (V, V) of a flag category) takes the general path.  The
-    results equal the general construction's.
+    the dividend; ``0: A -> B`` is strict; and an identity is an iso.
+    An identity is a morphism with ``dom == cod`` and the identity
+    matrix; the identity matrix between two different objects (such as
+    the bimorphism (V, 0) -> (V, V) of a flag category) takes the
+    general path.  The results equal the general construction's.
 
     ``divide_left`` and ``divide_right`` go through
     :func:`~preab.linalg.solve_right`, which reads the quotient off a
     divisor in reduced column echelon form (a flag kernel leg, or the
     transpose of a flag cokernel leg) and checks one product instead of
-    eliminating.  ``is_iso`` inverts the matrix and lets the structure
-    constraints decide whether the inverse is a morphism; a subclass that
-    can read the answer off its structure overrides it, as
-    :class:`~preab.backends.flags.FlagBackend` does.
+    eliminating.
     """
 
     # -- generic implementations ------------------------------------------
@@ -226,16 +226,18 @@ class MatrixBackend(Category):
             return None
         return self.try_morphism(g.cod, h.cod, x.transpose())
 
-    def is_iso(self, f: Morphism) -> bool:
+    def classify(self, f: Morphism) -> MorphismClass:
         self._own(f)
+        m = f.payload
+        if m.is_zero():
+            return MorphismClass.derive(mono=m.cols == 0, epi=m.rows == 0, strict=True)
         if self._is_identity(f):
-            return True
-        # invert the ambient matrix, then let the structure constraints
-        # decide whether the inverse is a morphism of this category
-        inv = invert(f.payload)
-        if inv is None:
-            return False
-        return self.try_morphism(f.cod, f.dom, inv) is not None
+            return MorphismClass.derive(mono=True, epi=True, strict=True)
+        r, strict = self.rank_and_strict(f)
+        return MorphismClass.derive(mono=r == m.cols, epi=r == m.rows, strict=strict)
+
+    def is_iso(self, f: Morphism) -> bool:
+        return self.classify(f).iso
 
     def _structural_candidates(self, a, b) -> list[RatMatrix]:
         """The zero map, then whichever of identity, inclusion and projection

@@ -153,22 +153,26 @@ class FlagBackend(MatrixBackend):
             if not fits:
                 raise ConstraintViolation("matrix does not map marked layers into marked layers")
 
-    def is_iso(self, f: Morphism) -> bool:
-        """Whether f is an iso: an identity, or a square invertible matrix
-        whose domain and codomain layers have equal dimensions, pairwise.
+    def rank_and_strict(self, f: Morphism) -> tuple[int, bool]:
+        """The rank r of f: (V, X) -> (W, Y) and whether f is strict.
 
-        Proof: the inverse matrix is a morphism exactly when it maps each
-        codomain layer y into the domain layer x, that is when y lies in
-        f(x).  As f is a morphism, f(x) lies in y, and as f is injective,
-        f(x) has the dimension of x; so y lies in f(x) exactly when
-        x.dim == y.dim.  No inverse is built and no layer is solved against.
+        fbar maps the coimage layers f(X_i), of dimension rank(f X_i),
+        into the image layers Y_i meet f(V), of dimension
+        r + dim Y_i - rank[f | Y_i], and is an iso exactly when these agree.
+
+        When f is invertible, this is dim X_i == dim Y_i.  Proof: the
+        inverse matrix is a morphism exactly when each Y_i lies in f(X_i).
+        As f is a morphism, f(X_i) lies in Y_i, and as f is injective,
+        f(X_i) has the dimension of X_i; so Y_i lies in f(X_i) exactly
+        when dim X_i == dim Y_i.
         """
-        self._own(f)
-        if self._is_identity(f):
-            return True
         (n, xs), (m, ys) = f.dom, f.cod
-        return (n == m and all(x.dim == y.dim for x, y in zip(xs, ys))
-                and rank(f.payload) == n)
+        mat = f.payload
+        r = rank(mat)
+        if r == n == m:
+            return r, all(x.dim == y.dim for x, y in zip(xs, ys))
+        return r, all(rank(mat @ x.basis) + rank(hstack(mat, y.basis)) == r + y.dim
+                      for x, y in zip(xs, ys))
 
     def kernel_data(self, f: Morphism):
         n, xs = f.dom

@@ -11,7 +11,7 @@ both mono and epi here, but certainly not invertible.
 
 from __future__ import annotations
 
-from ..core import ConstraintViolation, Morphism, MorphismClass
+from ..core import ConstraintViolation, Morphism
 from ..lattice import column_hnf, integer_kernel, pure_quotient_rows
 from ..linalg import RatMatrix, check_declared_dim
 from .base import MatrixBackend
@@ -70,33 +70,26 @@ class LatZBackend(MatrixBackend):
         s = integer_kernel(annihilator.transpose())
         return s.cols, s
 
-    def classify(self, f: Morphism) -> MorphismClass:
-        """The flags of f read off two Hermite forms, with no decomposition.
+    def rank_and_strict(self, f: Morphism) -> tuple[int, bool]:
+        """The rank of f and whether f is strict, read off two Hermite forms.
 
         The column Hermite form h of f is a basis of its image, so its
-        column count is the rank of f: f is mono at full column rank and
-        epi at full row rank.  f is strict exactly when its image is
-        saturated, that is when every elementary divisor of f is 1 (see
+        column count is the rank of f.  f is strict exactly when its image
+        is saturated, that is when every elementary divisor of f is 1 (see
         README "Backends"), which holds exactly when the rows of h span
         Z^rank, so when the Hermite form of h's transpose is the identity.
-        Zero morphisms and identities are answered without elimination.
 
         >>> from preab.backends import LATZ
         >>> from preab.linalg import RatMatrix
         >>> two = LATZ.make_morphism(1, 1, RatMatrix.from_rows([[2]]))
+        >>> LATZ.rank_and_strict(two)
+        (1, False)
         >>> c = LATZ.classify(two)
         >>> c.mono, c.epi, c.strict
         (True, True, False)
         """
-        self._own(f)
-        m = f.payload
-        if m.is_zero():
-            return MorphismClass.derive(mono=m.cols == 0, epi=m.rows == 0, strict=True)
-        if self._is_identity(f):
-            return MorphismClass.derive(mono=True, epi=True, strict=True)
-        h = column_hnf(m)
-        return MorphismClass.derive(mono=h.cols == m.cols, epi=h.cols == m.rows,
-                                    strict=column_hnf(h.transpose()).is_identity())
+        h = column_hnf(f.payload)
+        return h.cols, column_hnf(h.transpose()).is_identity()
 
     # -- generation ------------------------------------------------------------
     def random_object(self, rng, dim_bound: int) -> int:

@@ -1,9 +1,9 @@
 """Core machinery for additive categories with kernels and cokernels.
 
 A :class:`Category` supplies composition, the additive structure,
-biproducts, kernel/cokernel constructors and canonical decompositions,
-and may override morphism classification, which by default reads a
-decomposition; everything else here is generic: pushouts
+biproducts, kernel/cokernel constructors, canonical decompositions and
+morphism classification, which reads a closed form for each backend and
+builds no decomposition; everything else here is generic: pushouts
 and pullbacks via biproducts, induced maps between kernels and
 cokernels, and the opposite category.  Pushouts, pullbacks and their
 mediators use a :class:`Biproduct` only through its maps ``pair``,
@@ -298,9 +298,8 @@ class Category:
     maps ``pair``, ``copair``, ``split_out`` and ``split_in``),
     ``kernel`` and ``cokernel`` (each a :class:`Cone`), ``decompose``
     (the :class:`Decomposition` of a morphism), ``classify`` (its
-    :class:`MorphismClass`; by default the flags of its decomposition,
-    which a backend overrides when it can read them off more cheaply),
-    ``is_iso``, the generators
+    :class:`MorphismClass`, read off a closed form with no decomposition
+    built), ``is_iso`` (the ``iso`` flag of ``classify``), the generators
     ``random_object(rng, dim_bound)``, ``random_morphism(rng, a, b)`` and
     ``random_iso(rng, a)``, and ``object_to_json`` and ``morphism_to_json``.
     A backend also parses JSON with ``object_from_json`` and
@@ -314,9 +313,6 @@ class Category:
     """
 
     name: str = "?"
-
-    def classify(self, f: Morphism) -> MorphismClass:
-        return self.decompose(f).flags()
 
     def try_morphism(self, dom, cod, payload) -> Optional[Morphism]:
         try:
@@ -497,10 +493,10 @@ def decompose(f: Morphism) -> Decomposition:
 def classify(f: Morphism) -> MorphismClass:
     """The mono, epi and strict flags of f and those derived from them.
 
-    Each category answers through its ``classify`` hook: by default it
-    reads the flags off one decomposition (:meth:`Decomposition.flags`);
-    ``latz`` reads them off two Hermite forms and builds no
-    decomposition; an opposite category swaps its base's mono and epi.
+    Each category answers through its ``classify`` hook with no
+    decomposition built: a matrix backend reads rank and strictness off
+    its closed form (``rank_and_strict``), and an opposite category
+    swaps its base's mono and epi.
     """
     return f.category.classify(f)
 

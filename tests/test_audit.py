@@ -95,6 +95,7 @@ class TestAuditConfig:
         dict(min_nonvacuous=-1),
         dict(shrink_budget=True),
         dict(probe_steps=-2),
+        dict(probe_steps=0),
         dict(samples=[50]),
         dict(samples={"default": -1}),
         dict(samples={"right.viii": 5}),

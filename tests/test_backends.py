@@ -13,7 +13,6 @@ import pytest
 from preab import BACKENDS, ConstraintViolation, classify, get_backend, lattice, linalg
 from preab.backends import FILTVECT3, LATZ, SUBVECT, VECTQ, latz
 from preab.backends.flags import _adapted_columns
-from preab.core import Opposite
 from preab.linalg import RatMatrix, Subspace, invert, preimage, pushforward, solve_right
 
 ALL = sorted(BACKENDS)
@@ -286,33 +285,19 @@ def test_random_iso_invertible(name):
         assert cat.is_iso(f)
 
 
-def _is_iso_by_inversion(cat, f):
-    """The iso test that builds the inverse: invert the matrix, then ask
-    the base category's structure constraints whether it is a morphism."""
-    if isinstance(cat, Opposite):
-        cat, f = cat.base, cat.unwrap(f)
-    inv = invert(f.payload)
-    if inv is None:
-        return False
-    try:
-        cat.check_payload_constraints(f.cod, f.dom, inv)
-    except ConstraintViolation:
-        return False
-    return True
-
-
-def _same_dim_object(cat, rng, a):
+def _same_dim_object(base, rng, a):
     while True:
-        b = cat.random_object(rng, 3)
-        if b[0] == a[0]:
+        b = base.random_object(rng, 3)
+        if base.ambient_dim(b) == base.ambient_dim(a):
             return b
 
 
 @pytest.mark.parametrize("side", ["base", "op"])
-@pytest.mark.parametrize("name", ["vectq", "subvect", "filtvect3"])
-def test_flag_iso_rule_matches_inversion(name, side):
-    """FlagBackend.is_iso reads the answer off the rank and the layer
-    dimensions; it must agree with inverting and checking the inverse."""
+@pytest.mark.parametrize("name", ["latz", "vectq", "subvect", "filtvect3"])
+def test_flag_iso_rule_matches_inversion(name, side, is_iso_by_inversion):
+    """is_iso reads the answer off the rank and the layer dimensions (on
+    latz, two Hermite forms); it must agree with inverting and checking
+    the inverse."""
     base = get_backend(name)
     cat = base.opposite() if side == "op" else base
     rng = random.Random(f"flag iso rule:{name}:{side}")
@@ -321,24 +306,28 @@ def test_flag_iso_rule_matches_inversion(name, side):
         a = cat.random_object(rng, 3)
         morphisms += [cat.random_iso(rng, a),
                       cat.random_morphism(rng, a, a),
-                      cat.random_morphism(rng, a, _same_dim_object(cat, rng, a)),
+                      cat.random_morphism(rng, a, _same_dim_object(base, rng, a)),
                       cat.random_morphism(rng, a, cat.random_object(rng, 3)),
                       cat.zero_morphism(a, a)]
     for v in range(1, 4):
-        # the bimorphism (V, 0) -> (V, V)
-        zero, full = (base.obj(v, [s] * base.n_layers) for s in (Subspace.zero(v),
-                                                                  Subspace.full(v)))
-        f = base.make_morphism(zero, full, RatMatrix.identity(v))
+        if name == "latz":
+            # multiplication by 2 on Z^v
+            f = base.make_morphism(v, v, RatMatrix.identity(v) + RatMatrix.identity(v))
+        else:
+            # the bimorphism (V, 0) -> (V, V)
+            zero, full = (base.obj(v, [s] * base.n_layers) for s in (Subspace.zero(v),
+                                                                      Subspace.full(v)))
+            f = base.make_morphism(zero, full, RatMatrix.identity(v))
         morphisms.append(cat.wrap(f) if side == "op" else f)
     kinds = set()
     for f in morphisms:
         iso = cat.is_iso(f)
-        assert iso == _is_iso_by_inversion(cat, f)
+        assert iso == is_iso_by_inversion(cat, f)
         m = cat.unwrap(f).payload if side == "op" else f.payload
         kinds.add("iso" if iso else "not square" if m.rows != m.cols else
                   "singular" if invert(m) is None else "invertible, no iso")
     assert kinds == {"iso", "not square", "singular"} | (
-        {"invertible, no iso"} if base.n_layers else set())
+        set() if name == "vectq" else {"invertible, no iso"})
 
 
 # ---------------------------------------------------------------------------

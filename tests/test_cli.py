@@ -209,6 +209,8 @@ class TestAuditCommand:
         {"seed": "no-backend"},
         {"backend": "vectq", "dim_bound": 0},
         {"backend": "vectq", "dim_bound": MAX_DIM_BOUND + 1},
+        # no probe step would sample no pushout or pullback
+        {"backend": "subvect", "samples": {"semistable": 2}, "probe_steps": 0},
         {"backend": ["vectq"]},
         {"backend": {"a": 1}},
         {"backend": "vectq", "seed": True},

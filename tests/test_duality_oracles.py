@@ -14,9 +14,10 @@ strict exactly when dim f(F_i) = dim(f(V) meet G_i) for every layer,
 that is rank(f F_i) == rank f + dim G_i - rank[f | G_i].  A non-zero
 ``latz`` morphism is strict exactly when its image is saturated: its
 column Hermite form equals the integer kernel of its annihilator.
-``latz`` is also checked against sympy, which shares no code with
-preab: f is mono at full column rank, epi at full row rank, and strict
-exactly when every non-zero invariant of its Smith form is a unit.
+Every backend is also checked against sympy, which shares no code with
+preab: f is mono at full column rank and epi at full row rank, and a
+``latz`` morphism is strict exactly when every non-zero invariant of its
+Smith form is a unit.
 
 *Indecomposables.*  By its Smith form, every ``latz`` morphism is a
 direct sum of 0 -> Z (mono, strict), Z -> 0 (epi, strict) and
@@ -53,7 +54,7 @@ from preab import (
 from preab.backends import LATZ
 from preab.backends.flags import FlagBackend
 from preab.lattice import column_hnf, integer_kernel
-from preab.linalg import RatMatrix, Subspace, hstack, kernel_basis, rank
+from preab.linalg import RatMatrix, Subspace, block_diagonal, hstack, kernel_basis, rank
 
 ALL = sorted(BACKENDS)
 
@@ -116,26 +117,49 @@ def test_strictness_matches_its_closed_form(name):
     assert seen == ({True} if name == "vectq" else {True, False})
 
 
-def _sympy_flags(m):
-    """Mono, epi and strict of the latz morphism m, by sympy."""
+def _sympy_rank(m):
+    return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m.entry(i, j))).rank()
+
+
+def _sympy_units(m):
+    """Whether every non-zero invariant of the Smith form of the integer matrix m is ±1."""
     sy = sympy.Matrix(m.rows, m.cols, lambda i, j: int(m.entry(i, j)))
-    r = sy.rank()
     d = smith_normal_form(sy, domain=sympy.ZZ)
-    units = all(abs(d[i, i]) == 1 for i in range(min(m.rows, m.cols)) if d[i, i] != 0)
-    return r == m.cols, r == m.rows, units
+    return all(abs(d[i, i]) == 1 for i in range(min(m.rows, m.cols)) if d[i, i] != 0)
 
 
-def test_latz_classify_matches_sympy():
-    rng = random.Random("latz classify against sympy")
+def _direct_sum(cat, f, g):
+    """f (+) g: mono, epi and strict exactly when both f and g are."""
+    return cat.make_morphism(cat.direct_sum_payload(f.dom, g.dom),
+                             cat.direct_sum_payload(f.cod, g.cod),
+                             block_diagonal(f.payload, g.payload))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_classify_matches_sympy(name, is_iso_by_inversion):
+    cat = BACKENDS[name]
+    rng = random.Random(f"{name} classify against sympy")
     seen = set()
-    for _ in range(400):
-        f = _draw(LATZ, rng, 4)
-        mono, epi, strict = _sympy_flags(f.payload)
-        assert classify(f) == _flags(mono, epi, strict) == decompose(f).flags()
-        fo = dualize(f)
-        assert classify(fo) == _flags(epi, mono, strict) == decompose(fo).flags()
-        seen.add((mono, epi, strict))
-    assert len(seen) == 8
+    g = cat.zero_morphism(cat.zero_object(), cat.zero_object())
+    for _ in range(200):
+        # a draw, and its sum with the previous draw, which meets the rare
+        # flag combinations (such as neither mono, epi nor strict) far sooner
+        prev, g = g, _draw(cat, rng, 4)
+        for f in (g, _direct_sum(cat, g, prev)):
+            m = f.payload
+            r = _sympy_rank(m)
+            mono, epi, strict = r == m.cols, r == m.rows, classify(f).strict
+            if name == "latz":
+                assert strict == _sympy_units(m)
+            fo = dualize(f)
+            for h, flags in ((f, _flags(mono, epi, strict)), (fo, _flags(epi, mono, strict))):
+                d = decompose(h)
+                assert classify(h) == flags == d.flags()
+                # d.flags() asks is_iso, so fbar is also inverted by hand
+                assert is_iso_by_inversion(h.category, d.fbar) == strict
+            seen.add((mono, epi, strict))
+    # vectq is abelian, so every morphism there is strict
+    assert len(seen) == (4 if name == "vectq" else 8)
 
 
 # latz indecomposables as (dom rank, cod rank, d): 0 -> Z, Z -> 0, Z --d--> Z
