@@ -601,19 +601,15 @@ def probe_semistable(f: Morphism, role: str, n_samples: int, seed,
 # the check catalog (CLI surface)
 
 
-def from_mirror(name: str, res: CheckResult, instance: Instance) -> CheckResult:
-    """res, name's mirror check on the dual of instance, relabelled as name
-    on instance.  Its witness describes the opposite category, where mono
-    and epi trade places, so it is kept whole under "dual"."""
-    witness = None if res.witness is None else {"dual": res.witness}
-    return CheckResult(name, res.verdict, instance, witness)
-
-
 def _mirrored(name: str, check: Callable[[Instance], CheckResult]):
     """check's mirror statement, named name: check runs on the dualized
-    instance, and its result returns through :func:`from_mirror`."""
+    instance, and its result is relabelled as name on the instance.  Its
+    witness describes the opposite category, where mono and epi trade
+    places, so it is kept whole under "dual"."""
     def mirror(instance: Instance) -> CheckResult:
-        return from_mirror(name, check(instance.dualize()), instance)
+        res = check(instance.dualize())
+        witness = None if res.witness is None else {"dual": res.witness}
+        return CheckResult(name, res.verdict, instance, witness)
     return mirror
 
 

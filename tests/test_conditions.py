@@ -89,7 +89,7 @@ def test_mirrored_checks_are_the_relabelled_mirror(name):
     cases = []
     for index in ("i", "ii", "iii", "iv", "v", "vi", "vii"):
         for i in range(3):
-            inst = generate_instance(name, f"left.{index}", 3, f"mirror:{i}").instance
+            inst = generate_instance(name, f"left.{index}", 3, f"mirror:{i}")
             cases.append((f"left.{index}", f"right.{index}", inst))
     for _ in range(5):
         m = cat.random_object(rng, 3)

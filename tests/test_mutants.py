@@ -18,13 +18,7 @@ import pytest
 import preab.audit as audit_module
 import preab.conditions as conditions
 from preab import BACKENDS
-from preab.audit import (
-    GENERATION_RETRIES,
-    AuditConfig,
-    GenerationExhausted,
-    generate_instance,
-    run_audit,
-)
+from preab.audit import AuditConfig, run_audit
 from preab.cli import main
 from preab.conditions import (
     FAIL,
@@ -197,22 +191,26 @@ def test_probe_failure_names_its_sample(name, monkeypatch, tmp_path, capsys):
     assert printed == json.loads(json.dumps({**res.to_json(), "witness": step}))
 
 
-@pytest.mark.parametrize("cond", ["right.vi", "left.vi"])
-def test_generation_gives_up_after_its_vacuous_attempts(cond, monkeypatch):
-    """A generator that draws only zero pairs, which are never kernels."""
-    attempts = []
+def test_vacuous_instances_are_tallied_and_named(monkeypatch):
+    """A generator that draws only zero vi pairs, which are never kernels."""
+    real = audit_module._generate_right
 
     def vacuous(cat, index, rng, bound):
-        attempts.append(index)
+        if index != "vi":
+            return real(cat, index, rng, bound)
         a = nonzero_object(cat, rng)
         zero = cat.zero_morphism(a, a)
         return PairInstance(outer=zero, inner=zero)
 
     monkeypatch.setattr(audit_module, "_generate_right", vacuous)
-    with pytest.raises(GenerationExhausted, match=cond):
-        generate_instance("subvect", cond, 3, "mutants")
-    assert GENERATION_RETRIES == 5
-    assert attempts == ["vi"] * GENERATION_RETRIES
+    rep = run_audit(AuditConfig(backend="subvect", seed="mutants", dim_bound=3,
+                                samples={"default": 3, "strictness": 5, "semistable": 1},
+                                min_nonvacuous=1, probe_steps=2))
+    assert rep.verdict == "inconclusive"
+    for cond in ("right.vi", "left.vi"):
+        assert rep.tallies[cond] == {"pass": 0, "fail": 0, "vacuous": 3, "exhausted": 0}
+        assert f"generation-vacuous:{cond}:3" in rep.caveats
+    assert all(t["vacuous"] == 0 for cond, t in rep.tallies.items() if not cond.endswith(".vi"))
 
 
 def test_audit_shrinks_mutant_failures_to_replayable_witnesses(monkeypatch, tmp_path, capsys):
