@@ -93,10 +93,9 @@ class MatrixBackend(Category):
     inverse built.
 
     ``decompose`` builds f = im @ fbar @ coim from those two legs, so no
-    kernel or cokernel cone of f is built: f is mono when its coimage leg
-    is square and epi when its image leg is, and fbar is found by
-    dividing, which checks the product exactly (RuntimeError if f does
-    not factor).
+    kernel or cokernel cone of f is built, and fbar is found by dividing,
+    which checks the product exactly (RuntimeError if f does not
+    factor).
 
     A biproduct A (+) B puts A's coordinates first.  Its ``pair`` and
     ``copair`` stack the legs' matrices and its splits slice a matrix's
@@ -165,32 +164,29 @@ class MatrixBackend(Category):
     def kernel(self, f: Morphism) -> Cone:
         self._own(f)
         if f.payload.is_zero():
-            return Cone(kind="kernel", of=f, apex=f.dom, leg=self.identity(f.dom))
+            return Cone(kind="kernel", of=f, leg=self.identity(f.dom))
         if self._is_identity(f):
-            zero = self.zero_object()
-            return Cone(kind="kernel", of=f, apex=zero, leg=self.zero_morphism(zero, f.dom))
+            return Cone(kind="kernel", of=f, leg=self.zero_morphism(self.zero_object(), f.dom))
         apex, m = self.kernel_data(f)
-        return Cone(kind="kernel", of=f, apex=apex, leg=Morphism(self, apex, f.dom, m))
+        return Cone(kind="kernel", of=f, leg=Morphism(self, apex, f.dom, m))
 
     def cokernel(self, f: Morphism) -> Cone:
         self._own(f)
         if f.payload.is_zero():
-            return Cone(kind="cokernel", of=f, apex=f.cod, leg=self.identity(f.cod))
+            return Cone(kind="cokernel", of=f, leg=self.identity(f.cod))
         if self._is_identity(f):
-            zero = self.zero_object()
-            return Cone(kind="cokernel", of=f, apex=zero, leg=self.zero_morphism(f.cod, zero))
+            return Cone(kind="cokernel", of=f, leg=self.zero_morphism(f.cod, self.zero_object()))
         apex, m = self.cokernel_data(f)
-        return Cone(kind="cokernel", of=f, apex=apex, leg=Morphism(self, f.cod, apex, m))
+        return Cone(kind="cokernel", of=f, leg=Morphism(self, f.cod, apex, m))
 
     def decompose(self, f: Morphism) -> Decomposition:
         self._own(f)
         if f.payload.is_zero():
             zero = self.zero_object()
             return Decomposition(coim=self.zero_morphism(f.dom, zero), fbar=self.identity(zero),
-                                 im=self.zero_morphism(zero, f.cod),
-                                 mono=self.is_zero_object(f.dom), epi=self.is_zero_object(f.cod))
+                                 im=self.zero_morphism(zero, f.cod))
         if self._is_identity(f):
-            return Decomposition(coim=f, fbar=f, im=f, mono=True, epi=True)
+            return Decomposition(coim=f, fbar=f, im=f)
         coim_apex, q = self.coimage_data(f)
         im_apex, b = self.image_data(f)
         coim = Morphism(self, f.dom, coim_apex, q)
@@ -201,8 +197,7 @@ class MatrixBackend(Category):
         fbar = self.divide_left(im, through_coim)
         if fbar is None:
             raise RuntimeError("f does not factor through its image")
-        return Decomposition(coim=coim, fbar=fbar, im=im,
-                             mono=q.rows == q.cols, epi=b.rows == b.cols)
+        return Decomposition(coim=coim, fbar=fbar, im=im)
 
     def divide_left(self, g: Morphism, h: Morphism) -> Optional[Morphism]:
         self._own(g, h)
@@ -230,11 +225,11 @@ class MatrixBackend(Category):
         self._own(f)
         m = f.payload
         if m.is_zero():
-            return MorphismClass.derive(mono=m.cols == 0, epi=m.rows == 0, strict=True)
+            return MorphismClass(mono=m.cols == 0, epi=m.rows == 0, strict=True)
         if self._is_identity(f):
-            return MorphismClass.derive(mono=True, epi=True, strict=True)
+            return MorphismClass(mono=True, epi=True, strict=True)
         r, strict = self.rank_and_strict(f)
-        return MorphismClass.derive(mono=r == m.cols, epi=r == m.rows, strict=strict)
+        return MorphismClass(mono=r == m.cols, epi=r == m.rows, strict=strict)
 
     def is_iso(self, f: Morphism) -> bool:
         return self.classify(f).iso

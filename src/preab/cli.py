@@ -23,7 +23,7 @@ import sys
 from .audit import AuditConfig, run_audit
 from .backends import get_backend
 from .conditions import CHECKS, instance_from_json, run_check
-from .core import decompose
+from .core import classify, decompose
 from .report import ReportDocument, emit_report
 
 
@@ -107,7 +107,7 @@ def cmd_decompose(args) -> int:
         cat = get_backend(name)
         f = cat.morphism_from_json(blob)
         d = decompose(f)
-        flags = d.flags()
+        flags = classify(f)
     except ValueError as e:
         print(f"preab decompose: {e}", file=sys.stderr)
         return 1

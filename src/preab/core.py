@@ -3,8 +3,10 @@
 A :class:`Category` supplies composition, the additive structure,
 biproducts, kernel/cokernel constructors, canonical decompositions and
 morphism classification, which reads a closed form for each backend and
-builds no decomposition; everything else here is generic: pushouts
-and pullbacks via biproducts, induced maps between kernels and
+builds no decomposition.  Each fact is stored once: a classification
+keeps mono, epi and strict and derives the rest, a decomposition keeps
+its three legs, and a cone its leg.  Everything else here is generic:
+pushouts and pullbacks via biproducts, induced maps between kernels and
 cokernels, and the opposite category.  Pushouts, pullbacks and their
 mediators use a :class:`Biproduct` only through its maps ``pair``,
 ``copair``, ``split_out`` and ``split_in``, never by composing with
@@ -79,8 +81,12 @@ class Cone:
 
     kind: str  # "kernel" or "cokernel"
     of: Morphism
-    apex: Any
     leg: Morphism
+
+    @property
+    def apex(self):
+        """The kernel or cokernel object: the end of ``leg`` away from f."""
+        return self.leg.dom if self.kind == "kernel" else self.leg.cod
 
     def factor(self, x: Morphism) -> Optional[Morphism]:
         f, c = self.of, self.of.category
@@ -155,35 +161,34 @@ class _OppositeBiproduct(Biproduct):
 
 @dataclass(frozen=True)
 class MorphismClass:
-    """Classification flags for a single morphism."""
+    """Mono, epi and strict of a morphism, and the four flags they fix.
+
+    A morphism is a kernel iff it is mono and strict, and a cokernel iff
+    it is epi and strict, so no search over candidate morphisms is
+    needed.  It is an iso iff it is mono, epi and strict: when f is mono
+    its coimage leg is an iso, when f is epi its image leg is, and then
+    f = im @ fbar @ coim is an iso exactly when fbar is.
+    """
 
     mono: bool
     epi: bool
-    bimorphism: bool
-    iso: bool
     strict: bool
-    is_kernel: bool
-    is_cokernel: bool
 
-    @classmethod
-    def derive(cls, mono: bool, epi: bool, strict: bool) -> "MorphismClass":
-        """All seven flags from mono, epi and strict.
+    @property
+    def bimorphism(self) -> bool:
+        return self.mono and self.epi
 
-        A morphism is a kernel iff it is mono and strict, and a cokernel
-        iff it is epi and strict, so no search over candidate morphisms
-        is needed.  It is an iso iff it is mono, epi and strict: when f
-        is mono its coimage leg is an iso, when f is epi its image leg
-        is, and then f = im @ fbar @ coim is an iso exactly when fbar is.
-        """
-        return cls(
-            mono=mono,
-            epi=epi,
-            bimorphism=mono and epi,
-            iso=mono and epi and strict,
-            strict=strict,
-            is_kernel=mono and strict,
-            is_cokernel=epi and strict,
-        )
+    @property
+    def iso(self) -> bool:
+        return self.mono and self.epi and self.strict
+
+    @property
+    def is_kernel(self) -> bool:
+        return self.mono and self.strict
+
+    @property
+    def is_cokernel(self) -> bool:
+        return self.epi and self.strict
 
     def to_json(self) -> dict:
         return {
@@ -203,10 +208,8 @@ class Decomposition:
 
     ``coim`` is the cokernel of ker f, ``im`` is the kernel of cok f,
     and ``fbar`` is the induced comparison between them.  A morphism is
-    strict exactly when fbar is an isomorphism.  ``mono`` and ``epi``
-    say whether f is mono (ker f is zero, so ``coim`` is the identity
-    of dom f) and epi (cok f is zero, so ``im`` is the identity of
-    cod f).
+    strict exactly when fbar is an isomorphism; its flags come from
+    :func:`classify`, which builds no decomposition.
 
     The matrix backends read both legs off f itself, with no kernel or
     cokernel cone in between (see ``MatrixBackend.decompose``):
@@ -232,24 +235,16 @@ class Decomposition:
     True
     >>> d.fbar.payload == RatMatrix.identity(1)
     True
-    >>> d.mono, d.epi, d.recompose() == f
-    (False, False, True)
+    >>> d.recompose() == f
+    True
     """
 
     coim: Morphism
     fbar: Morphism
     im: Morphism
-    mono: bool
-    epi: bool
 
     def recompose(self) -> Morphism:
         return self.im @ self.fbar @ self.coim
-
-    def flags(self) -> MorphismClass:
-        """The flags of f: mono and epi as recorded here, strict when fbar
-        is an iso, and the rest derived (:meth:`MorphismClass.derive`)."""
-        return MorphismClass.derive(self.mono, self.epi,
-                                    self.fbar.category.is_iso(self.fbar))
 
 
 @dataclass(frozen=True)
@@ -297,9 +292,10 @@ class Category:
     ``negate``, ``biproduct(a, b)`` (a :class:`Biproduct` defining the
     maps ``pair``, ``copair``, ``split_out`` and ``split_in``),
     ``kernel`` and ``cokernel`` (each a :class:`Cone`), ``decompose``
-    (the :class:`Decomposition` of a morphism), ``classify`` (its
-    :class:`MorphismClass`, read off a closed form with no decomposition
-    built), ``is_iso`` (the ``iso`` flag of ``classify``), the generators
+    (the :class:`Decomposition` of a morphism, its three legs),
+    ``classify`` (its :class:`MorphismClass`: mono, epi and strict, read
+    off a closed form with no decomposition built), ``is_iso`` (the
+    ``iso`` flag of ``classify``), the generators
     ``random_object(rng, dim_bound)``, ``random_morphism(rng, a, b)`` and
     ``random_iso(rng, a)``, and ``object_to_json`` and ``morphism_to_json``.
     A backend also parses JSON with ``object_from_json`` and
@@ -389,7 +385,7 @@ class Opposite(Category):
 
     # limits
     def _dual_cone(self, cone: Cone, of: Morphism, kind: str) -> Cone:
-        return Cone(kind=kind, of=of, apex=cone.apex, leg=self.wrap(cone.leg))
+        return Cone(kind=kind, of=of, leg=self.wrap(cone.leg))
 
     def kernel(self, f):
         return self._dual_cone(self.base.cokernel(self.unwrap(f)), f, "kernel")
@@ -398,15 +394,14 @@ class Opposite(Category):
         return self._dual_cone(self.base.kernel(self.unwrap(f)), f, "cokernel")
 
     def decompose(self, f):
-        # the base decomposition read backwards: its image leg is the
-        # coimage here, and mono and epi trade places
+        # the base decomposition backwards: its image leg is the coimage here
         d = self.base.decompose(self.unwrap(f))
-        return Decomposition(coim=self.wrap(d.im), fbar=self.wrap(d.fbar),
-                             im=self.wrap(d.coim), mono=d.epi, epi=d.mono)
+        return Decomposition(coim=self.wrap(d.im), fbar=self.wrap(d.fbar), im=self.wrap(d.coim))
 
     def classify(self, f):
+        # the one place where mono and epi trade
         c = self.base.classify(self.unwrap(f))
-        return MorphismClass.derive(mono=c.epi, epi=c.mono, strict=c.strict)
+        return MorphismClass(mono=c.epi, epi=c.mono, strict=c.strict)
 
     # division
     def divide_left(self, g, h):

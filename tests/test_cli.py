@@ -3,11 +3,13 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from preab import BACKENDS
 from preab.audit import MAX_DIM_BOUND, AuditConfig, run_audit
 from preab.cli import main
 from preab.report import SCHEMA_VERSION, ReportDocument, emit_report, parse_report
@@ -66,6 +68,15 @@ REFERENCE_SHA256_DIM_8 = {
     "subvect": "612b7579a684bee4ce1bbb6346b171c74d629a90690fa3c6691f8a363387ac74",
     "filtvect3": "c4d38db9e6bc4a652dc340ed29bb6da0ced64e3e5a0d1db7eb0b612b21c30956",
     "latz": "10a38e5fa1aeeb503020963acc25ee06bed2f488ea25374734f8abe5c8103bc2",
+}
+
+# the SHA-256 of what `preab decompose` prints for a seeded sweep of 40
+# morphisms per backend (dimension <= 4), joined: the legs and the flags
+DECOMPOSE_SWEEP_SHA256 = {
+    "vectq": "5417d3214279c144e9949e8a9229c7dbef2900a74fee38de5fa6173f937583f4",
+    "subvect": "4d1d2261f66ef0d1122907e93e357803a6c39d52b8983f976b3fd88ed36a159f",
+    "filtvect3": "dfd11716c9a2d671d62d27fd8990e4a6f0f185e0cee30764cc84e06ec2b14231",
+    "latz": "b9eea351b67231845af37033bd019cd166332eb82d1da04236eca2b971b91d6b",
 }
 
 
@@ -340,13 +351,29 @@ class TestDecomposeCommand:
             calls.append(f)
             return real(f)
 
-        # the command's own binding and the one classify looks up
+        # the command's own binding and core's, so a decomposition built
+        # anywhere else on the command's path counts too
         monkeypatch.setattr(core_module, "decompose", counted)
         monkeypatch.setattr(cli_module, "decompose", counted)
         code, out, _ = run_main(["decompose"], stdin_text=json.dumps(LATZ_DOUBLING),
                                 monkeypatch=monkeypatch, capsys=capsys)
         assert code == 0 and json.loads(out)["flags"]["bimorphism"]
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("backend", sorted(DECOMPOSE_SWEEP_SHA256))
+    def test_reference_decompose_bytes(self, monkeypatch, capsys, backend):
+        cat = BACKENDS[backend]
+        rng = random.Random(f"decompose sweep:{backend}")
+        outs = []
+        for _ in range(40):
+            a, b = cat.random_object(rng, 4), cat.random_object(rng, 4)
+            f = cat.random_morphism(rng, a, b)
+            code, out, _ = run_main(["decompose"], stdin_text=json.dumps(cat.morphism_to_json(f)),
+                                    monkeypatch=monkeypatch, capsys=capsys)
+            assert code == 0
+            outs.append(out)
+        digest = hashlib.sha256("".join(outs).encode()).hexdigest()
+        assert digest == DECOMPOSE_SWEEP_SHA256[backend]
 
     def test_morphism_from_file(self, tmp_path, capsys):
         path = write_json(tmp_path, "f.json", LATZ_DOUBLING)

