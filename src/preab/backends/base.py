@@ -101,17 +101,16 @@ class MatrixBackend(Category):
     ``copair`` stack the legs' matrices and its splits slice a matrix's
     rows or columns, with no product through a 0/1 matrix.
 
-    Zero morphisms and identities are answered from the universal
-    property, with no elimination and no hook call: the kernel of
-    ``0: A -> B`` is ``id_A`` and its cokernel ``id_B``; the kernel of
-    ``id_A`` is ``0 -> A`` from the zero object and its cokernel
-    ``A -> 0``; ``0: A -> B`` decomposes through the zero object, and
-    ``id_A`` as ``id_A @ id_A @ id_A``; dividing by an identity returns
-    the dividend; ``0: A -> B`` is strict; and an identity is an iso.
-    An identity is a morphism with ``dom == cod`` and the identity
-    matrix; the identity matrix between two different objects (such as
-    the bimorphism (V, 0) -> (V, V) of a flag category) takes the
-    general path.  The results equal the general construction's.
+    A zero morphism ``0: A -> B`` is answered with no elimination and
+    no hook call: its kernel is ``id_A``, its cokernel ``id_B``, it
+    decomposes through the zero object and it is strict.  An identity
+    (``dom == cod`` and the identity matrix) is classified as an iso,
+    and dividing by one returns the dividend.  Audit traffic pays for
+    these: zero morphisms are a quarter to two thirds of the cone,
+    ``decompose`` and ``classify`` calls, identities a fifth of the
+    ``classify`` and nearly half of the division calls.  An identity's
+    cones and decomposition, under 4% of those calls, take the general
+    path.  The results equal the general construction's.
 
     ``divide_left`` and ``divide_right`` go through
     :func:`~preab.linalg.solve_right`, which reads the quotient off a
@@ -165,8 +164,6 @@ class MatrixBackend(Category):
         self._own(f)
         if f.payload.is_zero():
             return Cone(kind="kernel", of=f, leg=self.identity(f.dom))
-        if self._is_identity(f):
-            return Cone(kind="kernel", of=f, leg=self.zero_morphism(self.zero_object(), f.dom))
         apex, m = self.kernel_data(f)
         return Cone(kind="kernel", of=f, leg=Morphism(self, apex, f.dom, m))
 
@@ -174,8 +171,6 @@ class MatrixBackend(Category):
         self._own(f)
         if f.payload.is_zero():
             return Cone(kind="cokernel", of=f, leg=self.identity(f.cod))
-        if self._is_identity(f):
-            return Cone(kind="cokernel", of=f, leg=self.zero_morphism(f.cod, self.zero_object()))
         apex, m = self.cokernel_data(f)
         return Cone(kind="cokernel", of=f, leg=Morphism(self, f.cod, apex, m))
 
@@ -185,8 +180,6 @@ class MatrixBackend(Category):
             zero = self.zero_object()
             return Decomposition(coim=self.zero_morphism(f.dom, zero), fbar=self.identity(zero),
                                  im=self.zero_morphism(zero, f.cod))
-        if self._is_identity(f):
-            return Decomposition(coim=f, fbar=f, im=f)
         coim_apex, q = self.coimage_data(f)
         im_apex, b = self.image_data(f)
         coim = Morphism(self, f.dom, coim_apex, q)

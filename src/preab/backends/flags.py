@@ -97,7 +97,7 @@ class FlagBackend(MatrixBackend):
     def __init__(self, name: str, n_layers: int):
         self.name = name
         self.n_layers = n_layers
-        # built once: identities' kernels and cokernels land on it
+        # built once: every zero morphism decomposes through it
         self._zero = (0, (Subspace.zero(0),) * n_layers)
 
     # -- objects -----------------------------------------------------------

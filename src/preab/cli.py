@@ -12,6 +12,8 @@ Exit codes are a stable contract.
 
 A usage error (unknown option or subcommand, missing argument) prints
 one line and exits 1, so it can never read as a witness or a failure.
+So does every ValueError or OSError a command raises, bad input or
+failed I/O alike; ``main`` alone turns it into that line.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ def _load_json(path: str):
         raise ValueError(f"{path}: not valid JSON: {e}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
-    except OSError as e:
-        raise ValueError(f"{path}: {e.strerror or e}") from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -54,20 +54,15 @@ def _canonical(blob: dict) -> str:
 
 
 def cmd_audit(args) -> int:
-    try:
-        blob = _load_json(args.config)
-        if not isinstance(blob, dict):
-            raise ValueError("config must be a JSON object")
-        if args.backend:
-            blob = {**blob, "backend": args.backend}
-        if args.seed is not None:
-            blob = {**blob, "seed": args.seed}
-        cfg = AuditConfig.from_json(blob)
-        report = run_audit(cfg)
-        _emit(ReportDocument.from_audit(report).emit(), args.out)
-    except (ValueError, OSError) as e:
-        print(f"preab audit: {e}", file=sys.stderr)
-        return 1
+    blob = _load_json(args.config)
+    if not isinstance(blob, dict):
+        raise ValueError("config must be a JSON object")
+    if args.backend:
+        blob = {**blob, "backend": args.backend}
+    if args.seed is not None:
+        blob = {**blob, "seed": args.seed}
+    report = run_audit(AuditConfig.from_json(blob))
+    _emit(ReportDocument.from_audit(report).emit(), args.out)
     if report.witnesses:
         return 2
     if report.verdict == "inconclusive":
@@ -76,46 +71,36 @@ def cmd_audit(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        if args.name not in CHECKS:
-            raise ValueError(f"unknown check: {args.name!r} "
-                             f"(known: {', '.join(sorted(CHECKS))})")
-        blob = _load_json(args.instance)
-        instance = instance_from_json(blob)
-        if args.backend and instance.category.name != args.backend:
-            raise ValueError(f"instance backend {instance.category.name!r} "
-                             f"does not match --backend {args.backend!r}")
-        result = run_check(args.name, instance)
-    except ValueError as e:
-        print(f"preab check: {e}", file=sys.stderr)
-        return 1
+    if args.name not in CHECKS:
+        raise ValueError(f"unknown check: {args.name!r} "
+                         f"(known: {', '.join(sorted(CHECKS))})")
+    instance = instance_from_json(_load_json(args.instance))
+    if args.backend and instance.category.name != args.backend:
+        raise ValueError(f"instance backend {instance.category.name!r} "
+                         f"does not match --backend {args.backend!r}")
+    result = run_check(args.name, instance)
     sys.stdout.write(_canonical(result.to_json()))
     return {"pass": 0, "fail": 2, "vacuous": 3}[result.verdict]
 
 
 def cmd_decompose(args) -> int:
-    try:
-        blob = _load_json(args.morphism)
-        if not isinstance(blob, dict):
-            raise ValueError("morphism must be a JSON object")
-        name = blob.get("backend")
-        if not isinstance(name, str):
-            raise ValueError("morphism JSON needs a backend name")
-        if args.backend and name != args.backend:
-            raise ValueError(f"morphism backend {name!r} does not match "
-                             f"--backend {args.backend!r}")
-        cat = get_backend(name)
-        f = cat.morphism_from_json(blob)
-        d = decompose(f)
-        flags = classify(f)
-    except ValueError as e:
-        print(f"preab decompose: {e}", file=sys.stderr)
-        return 1
+    blob = _load_json(args.morphism)
+    if not isinstance(blob, dict):
+        raise ValueError("morphism must be a JSON object")
+    name = blob.get("backend")
+    if not isinstance(name, str):
+        raise ValueError("morphism JSON needs a backend name")
+    if args.backend and name != args.backend:
+        raise ValueError(f"morphism backend {name!r} does not match "
+                         f"--backend {args.backend!r}")
+    cat = get_backend(name)
+    f = cat.morphism_from_json(blob)
+    d = decompose(f)
     sys.stdout.write(_canonical({
         "coim": cat.morphism_to_json(d.coim),
         "fbar": cat.morphism_to_json(d.fbar),
         "im": cat.morphism_to_json(d.im),
-        "flags": flags.to_json(),
+        "flags": classify(f).to_json(),
     }))
     return 0
 
@@ -159,7 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except (ValueError, OSError) as e:
+        print(f"preab {args.command}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -60,8 +60,6 @@ VACUOUS = "vacuous"
 
 SIDES = ("right", "left")
 INDICES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
-# conditions with an applicability hypothesis; only these can be vacuous
-CONDITIONAL_INDICES = ("ii", "iii", "iv", "v", "vi", "vii")
 
 
 @dataclass(frozen=True)
@@ -635,7 +633,6 @@ _CATALOG.update({
 })
 
 CHECKS = {name: check for name, (_, check) in _CATALOG.items()}
-CHECK_KINDS = {name: kind for name, (kind, _) in _CATALOG.items()}
 
 
 def _run(name: str, instance: Instance) -> CheckResult:

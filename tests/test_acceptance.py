@@ -16,7 +16,7 @@ from preab.audit import AuditConfig, run_audit, shrink
 from preab.backends import get_backend
 from preab.cli import main
 from preab.conditions import (
-    CONDITIONAL_INDICES,
+    INDICES,
     MorphismInstance,
     ProbeInstance,
     check_composite_cones,
@@ -250,7 +250,7 @@ def test_criterion_5_duality_transport():
     verdict on the dual-transported instance, in both directions."""
     from preab.audit import generate_instance
     backend = "subvect"
-    for index in CONDITIONAL_INDICES + ("i",):
+    for index in INDICES:
         for i in range(100):
             x = generate_instance(backend, f"left.{index}", DIM_BOUND,
                                   f"acc5:l:{index}:{i}")

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, canonical bytes, report envelope."""
 
 import hashlib
+import io
 import json
 import os
 import random
@@ -82,7 +83,7 @@ DECOMPOSE_SWEEP_SHA256 = {
 
 def run_main(argv, stdin_text=None, monkeypatch=None, capsys=None):
     if stdin_text is not None:
-        monkeypatch.setattr(sys, "stdin", __import__("io").StringIO(stdin_text))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
@@ -446,6 +447,24 @@ class TestEntryPoints:
         out, err = capsys.readouterr()
         assert exc.value.code == 1 and out == ""
         assert err.startswith("preab") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["audit", "check", "decompose"])
+    def test_broken_stdout_exits_one_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                   command):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        argv, stdin = {
+            "audit": (["audit", "--config", write_json(tmp_path, "cfg.json", AUDIT_CONFIG)],
+                      None),
+            "check": (["check", "strict"], SUBVECT_WITNESS),
+            "decompose": (["decompose"], LATZ_DOUBLING),
+        }[command]
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        code, _, err = run_main(argv, stdin_text=stdin and json.dumps(stdin),
+                                monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 1 and err.startswith(f"preab {command}:") and err.count("\n") == 1
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

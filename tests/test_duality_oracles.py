@@ -171,46 +171,44 @@ def test_classify_matches_sympy(name, is_iso_by_inversion):
     assert len(seen) == (4 if name == "vectq" else 8)
 
 
-SMALL_ALPHABET = (-1, 0, 1)
-
-
-def _small_objects(cat):
+def _small_objects(cat, alphabet):
     """Every object of ambient dimension at most 2 whose layer is spanned
     by vectors over the alphabet: on latz the ranks, on subvect (V, F)."""
     if cat is LATZ:
         return [0, 1, 2]
     objects = {}
     for n in range(3):
-        vectors = list(itertools.product(SMALL_ALPHABET, repeat=n))
+        vectors = list(itertools.product(alphabet, repeat=n))
         for k in range(n + 1):
             for span in itertools.combinations(vectors, k):
                 objects[cat.obj(n, [Subspace.span(n, span)])] = None
     return list(objects)
 
 
-def _small_morphisms(cat):
+def _small_morphisms(cat, alphabet):
     """Every morphism between small objects whose matrix is over the alphabet."""
-    objects = _small_objects(cat)
+    objects = _small_objects(cat, alphabet)
     for a, b in itertools.product(objects, repeat=2):
         n, m = cat.ambient_dim(a), cat.ambient_dim(b)
-        for entries in itertools.product(SMALL_ALPHABET, repeat=m * n):
+        for entries in itertools.product(alphabet, repeat=m * n):
             f = cat.try_morphism(a, b, RatMatrix(m, n, entries))
             if f is not None:
                 yield f
 
 
-# (objects, morphisms, (mono, epi, strict) combinations) at the small
-# scope; on latz every non-strict one is Z^2 -> Z^2 with determinant ±2
-SMALL_SCOPE = {"latz": (3, 107, 5), "subvect": (9, 1543, 8)}
+# (alphabet, objects, morphisms, (mono, epi, strict) combinations) at the
+# small scope.  Over {-1, 0, 1} every non-square latz morphism is strict,
+# and only 5 combinations occur; over {-2..2} all 8 do.
+SMALL_SCOPE = {"latz": (range(-2, 3), 3, 685, 8), "subvect": ((-1, 0, 1), 9, 1543, 8)}
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_SCOPE))
 def test_classify_every_small_morphism(name, is_iso_by_inversion):
     cat = BACKENDS[name]
-    objects, morphisms, kinds = SMALL_SCOPE[name]
-    assert len(_small_objects(cat)) == objects
+    alphabet, objects, morphisms, kinds = SMALL_SCOPE[name]
+    assert len(_small_objects(cat, alphabet)) == objects
     seen, count = set(), 0
-    for f in _small_morphisms(cat):
+    for f in _small_morphisms(cat, alphabet):
         m = f.payload
         r = _sympy_rank(m)
         mono, epi = r == m.cols, r == m.rows
