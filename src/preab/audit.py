@@ -363,16 +363,14 @@ class AuditReport:
 
 
 def _evaluate_condition_job(backend, cond_name, dim_bound, seed):
-    res = check_condition(cond_name, generate_instance(backend, cond_name, dim_bound, seed))
-    return (res.verdict, res)
+    return check_condition(cond_name, generate_instance(backend, cond_name, dim_bound, seed))
 
 
 def _evaluate_strictness_job(backend, dim_bound, seed):
     cat = get_backend(backend)
     rng = random.Random(seed)
     f = _rand_morphism(cat, rng, dim_bound)
-    flags = classify(f)
-    return (flags.strict, MorphismInstance(f), flags)
+    return MorphismInstance(f), classify(f)
 
 
 def _evaluate_probe_job(backend, role, dim_bound, probe_steps, seed):
@@ -401,18 +399,17 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
     failures = {name: [] for name in CONDITION_NAMES}
     for cond_name in CONDITION_NAMES:
         for i in range(cfg.sample_count(cond_name)):
-            verdict, res = _evaluate_condition_job(
-                backend, cond_name, bound, f"{cfg.seed}:{cond_name}:{i}")
-            tallies[cond_name][verdict] += 1
-            if verdict == FAIL and len(failures[cond_name]) < WITNESS_CAP:
+            res = _evaluate_condition_job(backend, cond_name, bound,
+                                          f"{cfg.seed}:{cond_name}:{i}")
+            tallies[cond_name][res.verdict] += 1
+            if res.verdict == FAIL and len(failures[cond_name]) < WITNESS_CAP:
                 failures[cond_name].append(res)
 
     strict_tally = {"samples": 0, "strict": 0, "non_strict": 0, "non_strict_example": None}
     for i in range(cfg.sample_count("strictness")):
-        strict, inst, flags = _evaluate_strictness_job(
-            backend, bound, f"{cfg.seed}:strictness:{i}")
+        inst, flags = _evaluate_strictness_job(backend, bound, f"{cfg.seed}:strictness:{i}")
         strict_tally["samples"] += 1
-        if strict:
+        if flags.strict:
             strict_tally["strict"] += 1
         else:
             strict_tally["non_strict"] += 1

@@ -84,9 +84,7 @@ class MatrixBackend(Category):
     for a cokernel); and ``coimage_data(f)`` and ``image_data(f)``, the
     same for the coimage cok(ker f) (dom f -> apex) and the image
     ker(cok f) (apex -> cod f), read off f itself.  A coimage leg is
-    r x n and an image leg m x r, for r the rank of f; when r == n
-    (r == m) the hook returns the domain (codomain) itself and the
-    identity matrix, with no apex structure computed.  The ninth,
+    r x n and an image leg m x r, for r the rank of f.  The ninth,
     ``rank_and_strict(f)``, gives the rank of f and whether f is strict;
     ``classify`` reads mono (full column rank), epi (full row rank) and
     strict off it, and ``is_iso(f)`` is ``classify(f).iso``, with no

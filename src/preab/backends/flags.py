@@ -91,6 +91,16 @@ def _delete_coordinate(s: Subspace, j: int) -> Subspace:
     return (Subspace.span if pivot else Subspace._canonical)(s.ambient_dim - 1, rest)
 
 
+def _subobject(b: RatMatrix, ob: tuple) -> tuple[tuple, RatMatrix]:
+    """The sub-object of ``ob`` included by ``b``, each layer pulled back along b, and b."""
+    return (b.cols, tuple(preimage(b, y) for y in ob[1])), b
+
+
+def _quotient(q: RatMatrix, ob: tuple) -> tuple[tuple, RatMatrix]:
+    """The quotient of ``ob`` projected by ``q``, each layer pushed forward along q, and q."""
+    return (q.rows, tuple(pushforward(q, x) for x in ob[1])), q
+
+
 class FlagBackend(MatrixBackend):
     """Q-linear maps preserving a fixed-length chain of subspaces."""
 
@@ -148,9 +158,7 @@ class FlagBackend(MatrixBackend):
         for x, y in zip(xs, ys):
             if not x.dim or y.dim == y.ambient_dim:
                 continue  # nothing to map, or everything lands in the whole space
-            image = m @ x.basis
-            fits = image.is_zero() if y.dim == 0 else solve_right(y.basis, image) is not None
-            if not fits:
+            if solve_right(y.basis, m @ x.basis) is None:
                 raise ConstraintViolation("matrix does not map marked layers into marked layers")
 
     def rank_and_strict(self, f: Morphism) -> tuple[int, bool]:
@@ -175,34 +183,20 @@ class FlagBackend(MatrixBackend):
                       for x, y in zip(xs, ys))
 
     def kernel_data(self, f: Morphism):
-        n, xs = f.dom
-        k = kernel_basis(f.payload)
-        layers = tuple(preimage(k.basis, x) for x in xs)
-        return (k.dim, layers), k.basis
+        return _subobject(kernel_basis(f.payload).basis, f.dom)
 
     def cokernel_data(self, f: Morphism):
-        m, ys = f.cod
         # the rows of q span the annihilator of the image, the kernel of f^T
-        q = kernel_basis(f.payload.transpose()).basis.transpose()
-        layers = tuple(pushforward(q, y) for y in ys)
-        return (q.rows, layers), q
+        return _quotient(kernel_basis(f.payload.transpose()).basis.transpose(), f.cod)
 
     def coimage_data(self, f: Morphism):
-        n, xs = f.dom
         # ker(K^T), for K the kernel leg, is the row space of f, and the
         # non-zero rows of rref(f) are that space's canonical basis
-        q = row_echelon_basis(f.payload)
-        if q.rows == n:
-            return f.dom, q
-        return (q.rows, tuple(pushforward(q, x) for x in xs)), q
+        return _quotient(row_echelon_basis(f.payload), f.dom)
 
     def image_data(self, f: Morphism):
-        m, ys = f.cod
         # ker(cok f) is the column space of f
-        b = column_echelon_basis(f.payload)
-        if b.cols == m:
-            return f.cod, b
-        return (b.cols, tuple(preimage(b, y) for y in ys)), b
+        return _subobject(column_echelon_basis(f.payload), f.cod)
 
     # -- generation ------------------------------------------------------------
     def random_object(self, rng, dim_bound: int) -> tuple:
@@ -257,7 +251,7 @@ class FlagBackend(MatrixBackend):
             cols.append([s * sum(map(mul, tnum[r * k : (r + 1) * k], coeffs))
                          for r in range(m)])
         img = RatMatrix._of(m, n, [col[r] for r in range(m) for col in cols], d)
-        return Morphism(self, a, b, img if p_inv.is_identity() else img @ p_inv)
+        return Morphism(self, a, b, img @ p_inv)
 
     def random_iso(self, rng, a: tuple) -> Morphism:
         n, xs = a
@@ -270,7 +264,7 @@ class FlagBackend(MatrixBackend):
             for j in range(i + 1, n):
                 t[i][j] = rng.randint(-2, 2)
         tm = RatMatrix._of(n, n, [x for row in t for x in row])
-        return Morphism(self, a, a, tm if p.is_identity() else p @ tm @ p_inv)
+        return Morphism(self, a, a, p @ tm @ p_inv)
 
     # -- serialization ------------------------------------------------------------
     def object_to_json(self, a: tuple) -> dict:

@@ -61,7 +61,11 @@ def cmd_audit(args) -> int:
         blob = {**blob, "backend": args.backend}
     if args.seed is not None:
         blob = {**blob, "seed": args.seed}
-    report = run_audit(AuditConfig.from_json(blob))
+    cfg = AuditConfig.from_json(blob)
+    if args.out:
+        # fail before the audit on an unwritable path; appending keeps a report if it raises
+        open(args.out, "a", encoding="utf-8").close()
+    report = run_audit(cfg)
     _emit(ReportDocument.from_audit(report).emit(), args.out)
     if report.witnesses:
         return 2

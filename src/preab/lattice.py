@@ -107,8 +107,6 @@ def integer_kernel(m: RatMatrix) -> RatMatrix:
     RatMatrix[2; -1]
     """
     r, n, num = m.rows, m.cols, _numerators(m)
-    if not any(num):
-        return RatMatrix.identity(n)
     cols = [list(num[j::n]) + [0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]
     done = 0
     for i in range(r):

@@ -616,8 +616,6 @@ class Subspace:
         """
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient spaces differ")
-        if other.dim == 0:
-            return True
         return solve_right(self.basis, other.basis) is not None
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -643,8 +641,6 @@ def pushforward(m: RatMatrix, s: Subspace) -> Subspace:
     """Image of ``s`` under the linear map ``m``."""
     if m.cols != s.ambient_dim:
         raise ValueError("map domain does not match subspace ambient space")
-    if not s.dim:
-        return Subspace.zero(m.rows)
     return Subspace.span(m.rows, m @ s.basis)
 
 

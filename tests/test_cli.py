@@ -247,12 +247,30 @@ class TestAuditCommand:
         _, err = capsys.readouterr()
         assert code == 1 and "absent.json" in err
 
-    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+    def test_unwritable_out_exits_one(self, tmp_path, capsys, monkeypatch):
+        audits = []
+        monkeypatch.setattr(cli_module, "run_audit", lambda cfg: audits.append(cfg))
         cfg = write_json(tmp_path, "cfg.json", AUDIT_CONFIG)
-        code = main(["audit", "--config", cfg,
-                     "--out", str(tmp_path / "nodir" / "r.json")])
+        # a missing directory, and a directory; neither may cost an audit
+        for target in (tmp_path / "nodir" / "r.json", tmp_path):
+            code = main(["audit", "--config", cfg, "--out", str(target)])
+            out, err = capsys.readouterr()
+            assert code == 1 and out == ""
+            assert err.startswith("preab audit:") and err.count("\n") == 1
+        assert audits == []
+
+    def test_failed_audit_keeps_the_out_file(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise ValueError("audit failed")
+
+        monkeypatch.setattr(cli_module, "run_audit", fail)
+        cfg = write_json(tmp_path, "cfg.json", AUDIT_CONFIG)
+        target = tmp_path / "report.json"
+        target.write_bytes(b"an earlier report\n")
+        assert main(["audit", "--config", cfg, "--out", str(target)]) == 1
         _, err = capsys.readouterr()
-        assert code == 1 and err.startswith("preab audit:")
+        assert err == "preab audit: audit failed\n"
+        assert target.read_bytes() == b"an earlier report\n"
 
 
 # ---------------------------------------------------------------------------

@@ -216,9 +216,9 @@ def test_integer_kernel_basis_is_its_own_hnf():
         k = integer_kernel(m)
         assert column_hnf(k) == k
     assert deficient > 50
-    for rows, cols in ((0, 0), (0, 4), (3, 0)):
-        k = integer_kernel(RatMatrix.zeros(rows, cols))
-        assert column_hnf(k) == k and k.shape == (cols, cols)
+    # every vector is killed by a zero matrix, empty or not
+    for rows, cols in ((0, 0), (0, 4), (3, 0), (1, 1), (3, 4), (4, 2)):
+        assert integer_kernel(RatMatrix.zeros(rows, cols)) == RatMatrix.identity(cols)
 
 
 def test_saturate_wide_index_sublattice_returns(ten_second_alarm):

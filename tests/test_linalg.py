@@ -474,6 +474,8 @@ def test_dimension_formula():
         assert s.dim + t.dim == s.intersect(t).dim + s.add(t).dim
         assert (s + t).contains(s) and (s + t).contains(t)
         assert s.contains(s.intersect(t)) and t.contains(s.intersect(t))
+        zero = Subspace.zero(n)
+        assert all(u.contains(zero) for u in (s, t, s + t, s.intersect(t), zero))
 
 
 def test_pushforward_preimage_adjunction():
@@ -485,6 +487,7 @@ def test_pushforward_preimage_adjunction():
         t = image_basis(_random_matrix(rng, m_dim, rng.randint(0, m_dim)))
         assert t.contains(pushforward(f, preimage(f, t)))
         assert preimage(f, pushforward(f, s)).contains(s)
+        assert pushforward(f, Subspace.zero(n)) == Subspace.zero(m_dim)
         # the formula through the quotient coordinates of t, as a reference
         assert preimage(f, t) == kernel_basis(complement_rows(t) @ f)
 
