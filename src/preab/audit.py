@@ -33,7 +33,7 @@ many samples, otherwise the audit is inconclusive.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .backends import get_backend
 from .conditions import (
@@ -110,12 +110,7 @@ class AuditConfig:
         return self.samples.get(name, self.samples.get("default", 50))
 
     def to_json(self) -> dict:
-        return {"backend": self.backend, "seed": self.seed,
-                "dim_bound": self.dim_bound,
-                "samples": {k: self.samples[k] for k in sorted(self.samples)},
-                "min_nonvacuous": self.min_nonvacuous,
-                "shrink_budget": self.shrink_budget,
-                "probe_steps": self.probe_steps}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, blob: dict) -> "AuditConfig":

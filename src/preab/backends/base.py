@@ -69,8 +69,10 @@ class MatrixBackend(Category):
 
     Morphism JSON lives here: ``morphism_to_json`` writes the backend
     name, both objects and the matrix, and ``morphism_from_json`` reads
-    them back through ``make_morphism``.  A subclass supplies only object
-    JSON (``object_to_json`` and ``object_from_json``).  Besides that,
+    them back through ``make_morphism``.  A backend name other than this
+    backend's is a ValueError; a missing one is accepted.  A subclass
+    supplies only object JSON (``object_to_json`` and
+    ``object_from_json``).  Besides that,
     ``make_object``, ``zero_object`` and generation (see
     :class:`~preab.core.Category`), it defines nine hooks on objects,
     which are payloads, and morphisms: ``ambient_dim(payload)``;
@@ -266,6 +268,8 @@ class MatrixBackend(Category):
         }
 
     def morphism_from_json(self, obj: dict) -> Morphism:
+        if isinstance(obj, dict) and obj.get("backend", self.name) != self.name:
+            raise ValueError(f"morphism backend {obj['backend']!r} is not {self.name!r}")
         try:
             dom = self.object_from_json(obj["dom"])
             cod = self.object_from_json(obj["cod"])

@@ -6,11 +6,14 @@ floating point is used anywhere.  Products, row reductions, stacks and
 transposes compute on the numerators and reduce by one gcd at the end;
 :class:`fractions.Fraction` values are built only at the API and JSON
 boundary, where entries go in or come out.  Matrices are immutable and
-row-major.  Subspaces of Q^n are kept in a canonical basis (reduced
-column echelon form), which makes subspace equality a plain ``==``.
-A kernel's canonical basis is read off one elimination, of the matrix
-with its columns in reverse order, and so are preimages and quotient
-coordinates; the zero and full subspaces need no elimination at all.
+row-major.  Every row reduction runs through one core: integer rows are
+absorbed one at a time into an echelon (:func:`_absorb`), whose rows
+over their pivots are the rref.  Subspaces of Q^n are kept in a
+canonical basis (reduced column echelon form), which makes subspace
+equality a plain ``==``.  A kernel's canonical basis is read off one
+elimination, of the matrix with its columns in reverse order, and so
+are preimages and quotient coordinates; the zero and full subspaces
+need no elimination at all.
 
 >>> m = RatMatrix.from_rows([[2, 4], [1, 2]])
 >>> rref(m) == RatMatrix.from_rows([[1, 2], [0, 0]])
@@ -20,6 +23,7 @@ True
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -32,8 +36,9 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # the largest dimension a JSON input may declare.  It bounds the shapes
 # an input can declare, not the time: a dense input far below it can
 # still run for minutes.  With entries in -3..3 on a 2-CPU machine, a
-# dense 80x160 vectq decompose takes 1.3 s and a dense 30x60 latz one
-# 1.0 s, but a dense 40x80 latz one did not finish within 100 s
+# dense 80x160 vectq decompose takes 1.4 s and a dense 30x60 latz one
+# 0.6 s, but a dense 40x80 latz one runs over a minute and then fails:
+# its coimage has an entry of over 6,000 digits, past Python's str limit
 MAX_DIM = 512
 
 
@@ -346,67 +351,79 @@ def _over_lcm(v: Sequence[int | Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
-def _clear_column(rows: list[list[int]], pr: list[int], c: int) -> None:
-    """Clear column ``c`` of every row in ``rows`` but ``pr`` itself, in place.
+def _cleared(row: Sequence[int], pr: Sequence[int], c: int) -> list[int]:
+    """``row`` with column ``c`` cleared by the pivot row ``pr``.
 
-    Row i becomes pr[c]*row_i - row_i[c]*pr, divided by the gcd of its
-    entries, so it stays a non-zero multiple of the rational row.
+    That is pr[c]*row - row[c]*pr divided by the gcd of its entries, so
+    it stays a multiple of the row the rational elimination would hold.
     """
-    p = pr[c]
-    for i, row in enumerate(rows):
-        f = row[c]
-        if f and row is not pr:
-            row = [p * x - f * y for x, y in zip(row, pr)]
-            g = 0
-            for x in row:
-                # pairwise, like _over_lcm; stop once the content is 1
-                if x:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-            rows[i] = [x // g for x in row] if g > 1 else row
+    p, f = pr[c], row[c]
+    row = [p * x - f * y for x, y in zip(row, pr)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _absorb(rows: list[Sequence[int]], pivots: list[int], v: Sequence[int]) -> None:
+    """Add the integer vector ``v`` to an echelon, in place; the one elimination loop.
+
+    ``rows[t]`` has its leading entry, its pivot, in column
+    ``pivots[t]``; the pivots increase, and every other row is zero at
+    each pivot.  ``v`` is cleared at each pivot.  If anything is left,
+    its leading entry becomes a new pivot, that column is cleared from
+    the other rows, and ``v`` is inserted in pivot order.  A row stays
+    zero left of its pivot, so the rows over their pivots are the rref
+    of every vector absorbed so far (:func:`_finished`).
+    """
+    for r, c in zip(rows, pivots):
+        if v[c]:
+            v = _cleared(v, r, c)
+    for lead, x in enumerate(v):
+        if x:
+            break
+    else:
+        return
+    for t, r in enumerate(rows):
+        if r[lead]:
+            rows[t] = _cleared(r, v, lead)
+    t = bisect(pivots, lead)
+    rows.insert(t, v)
+    pivots.insert(t, lead)
+
+
+def _finished(rows: list[Sequence[int]], pivots: list[int]) -> tuple[list[int], int]:
+    """The rref an :func:`_absorb` echelon stands for, as numerators over d.
+
+    Returns the rows in pivot order, concatenated, each scaled so that
+    its pivot is d, the lcm of the pivots; and d.
+    """
+    d = 1
+    for r, c in zip(rows, pivots):
+        d = lcm(d, r[c])
+    out = []
+    for r, c in zip(rows, pivots):
+        s = d // r[c]  # negative when the pivot is, so every pivot becomes d
+        out.extend(r if s == 1 else [x * s for x in r])
+    return out, d
 
 
 def _rref_pivots(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form together with its pivot columns.
 
-    The elimination runs on the numerator rows: row i becomes
-    p*row_i - f*row_r and is then divided by the gcd of its entries
-    (:func:`_clear_column`, shared with :func:`nested_spans`).  Each
-    stored row stays a non-zero multiple of the row the rational
-    elimination would hold, so the pivots are the same, and each pivot
-    row over its pivot is a row of the (unique) rref.  The result is
-    stored over the lcm of the pivots.
+    The numerator rows of ``m`` are absorbed one by one into one
+    echelon (:func:`_absorb`) until the rank is the column count, and
+    :func:`_finished` stores the result over the lcm of the pivots.
     """
-    nrows, ncols = m.rows, m.cols
+    nrows, ncols, num = m.rows, m.cols, m._num
     if nrows == 0 or ncols == 0:
         return m, ()
-    num = m._num
-    rows = [list(num[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
+    rows: list[Sequence[int]] = []
+    pivots: list[int] = []
+    for i in range(0, nrows * ncols, ncols):
+        _absorb(rows, pivots, num[i : i + ncols])
+        if len(rows) == ncols:
             break
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        _clear_column(rows, rows[r], c)
-        pivots.append(c)
-        r += 1
-    d = 1
-    for row, c in zip(rows, pivots):
-        d = lcm(d, row[c])
-    out = []
-    for row, c in zip(rows, pivots):
-        s = d // row[c]  # negative when the pivot is, so the pivot becomes d
-        out.extend([x * s for x in row])
-    out.extend([0] * (ncols * (nrows - r)))
+    out, d = _finished(rows, pivots)
+    out.extend([0] * (ncols * (nrows - len(rows))))
     return RatMatrix._of(nrows, ncols, out, d), tuple(pivots)
 
 
@@ -570,8 +587,8 @@ class Subspace:
           do not overlap, so the result is canonical too;
         - ``FlagBackend.drop_coordinate``, which deletes a row that is
           not a pivot row: the pivot rows keep their lone leading 1s;
-        - :func:`nested_spans`, whose rows are the rref of the columns so
-          far up to a factor each, so over their pivots they are that rref.
+        - :func:`nested_spans`, which reads the rref of the columns so
+          far off the same echelon as every elimination (:func:`_absorb`).
         """
         s = object.__new__(cls)
         s.ambient_dim, s.basis = ambient_dim, basis
@@ -665,50 +682,28 @@ def nested_spans(dim: int, blocks: Sequence[RatMatrix]) -> list[Subspace]:
     """The span of each initial run of ``blocks``, as canonical subspaces of Q^dim.
 
     Entry i is ``Subspace(dim, hstack(*blocks[: i + 1]))``, from one
-    elimination in place of one per block.  Each column is absorbed into
-    integer rows that hold the rref of the columns seen so far, up to a
-    non-zero factor per row, as in :func:`_rref_pivots`: the column is
-    cleared at every pivot by the same content-divided row step; what is
-    left, if non-zero, gets its leading entry as a new pivot, and that
-    column is cleared from the other rows.  After a block the rows over
-    their pivots, in pivot order and transposed, are its canonical basis.
-    Columns stop being absorbed once the rank is ``dim``.
+    echelon in place of one elimination per block.  The columns are
+    absorbed one by one (:func:`_absorb`) until the rank is ``dim``;
+    after a block that adds a pivot, the transposed :func:`_finished`
+    rows are the canonical basis.
     """
+    rows: list[Sequence[int]] = []
     pivots: list[int] = []
-    rows: list[list[int]] = []  # rows[t] has its pivot in column pivots[t]
-    cur = None
+    cur = Subspace.zero(dim)
     out = []
     for b in blocks:
         if b.rows != dim:
             raise ValueError("block does not live in the stated ambient space")
-        k, num = b.cols, b._num
-        grew = False
+        k, num, rank_before = b.cols, b._num, len(rows)
         for j in range(k):
             if len(rows) == dim:
                 break
             # scaling a column by the block's denominator keeps its span
-            new = [list(num[j::k])]
-            for c, r in zip(pivots, rows):
-                _clear_column(new, r, c)
-            v = new[0]
-            lead = next((c for c, x in enumerate(v) if x), None)
-            if lead is None:
-                continue
-            _clear_column(rows, v, lead)
-            pivots.append(lead)
-            rows.append(v)
-            grew = True
-        if grew:
-            order = sorted(range(len(rows)), key=pivots.__getitem__)
-            d = 1
-            for t in order:
-                d = lcm(d, rows[t][pivots[t]])
-            # the factor is negative when the pivot is, so every pivot becomes d
-            scaled = [[x * (d // rows[t][pivots[t]]) for x in rows[t]] for t in order]
-            num = [r[i] for i in range(dim) for r in scaled]
-            cur = Subspace._canonical(dim, RatMatrix._of(dim, len(order), num, d))
-        elif cur is None:
-            cur = Subspace.zero(dim)
+            _absorb(rows, pivots, num[j::k])
+        if len(rows) > rank_before:
+            flat, d = _finished(rows, pivots)
+            num = [x for i in range(dim) for x in flat[i::dim]]
+            cur = Subspace._canonical(dim, RatMatrix._of(dim, len(rows), num, d))
         out.append(cur)
     return out
 

@@ -406,6 +406,11 @@ def test_morphism_json_round_trip(name):
         blob = cat.morphism_to_json(f)
         assert blob["backend"] == name
         assert cat.morphism_from_json(blob) == f
+        # a missing backend name is read as this backend's; another one is refused
+        assert cat.morphism_from_json({k: v for k, v in blob.items() if k != "backend"}) == f
+        other = next(n for n in ALL if n != name)
+        with pytest.raises(ValueError, match="is not"):
+            cat.morphism_from_json({**blob, "backend": other})
 
 
 def test_morphism_json_frozen_shape():

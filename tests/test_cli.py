@@ -315,6 +315,15 @@ class TestCheckCommand:
                                 monkeypatch=monkeypatch, capsys=capsys)
         assert code == 1 and "does not match" in err
 
+    def test_edge_naming_another_backend_exits_one(self, monkeypatch, capsys):
+        # a latz doubling map whose edge says vectq: refused, not replayed as latz
+        blob = {"kind": "morphism", "backend": "latz",
+                "morphism": {**LATZ_DOUBLING, "backend": "vectq"}}
+        code, out, err = run_main(["check", "strict"], stdin_text=json.dumps(blob),
+                                  monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("preab check:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("text", [
         "not json",
         json.dumps({"kind": "morphism"}),
