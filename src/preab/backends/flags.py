@@ -31,8 +31,6 @@ from ..linalg import (
     matrix_to_json,
     nested_spans,
     preimage,
-    pushforward,
-    rank,
     row_echelon_basis,
     rref,
     solve_right,
@@ -88,7 +86,7 @@ def _delete_coordinate(s: Subspace, j: int) -> Subspace:
     # a pivot row holds the first non-zero entry of some column
     pivot = any(num[j * k + c] and not any(num[c : j * k : k]) for c in range(k))
     rest = s.basis.delete_row(j)
-    return (Subspace.span if pivot else Subspace._canonical)(s.ambient_dim - 1, rest)
+    return Subspace(rest.rows, rest) if pivot else Subspace._canonical(rest)
 
 
 def _subobject(b: RatMatrix, ob: tuple) -> tuple[tuple, RatMatrix]:
@@ -97,8 +95,9 @@ def _subobject(b: RatMatrix, ob: tuple) -> tuple[tuple, RatMatrix]:
 
 
 def _quotient(q: RatMatrix, ob: tuple) -> tuple[tuple, RatMatrix]:
-    """The quotient of ``ob`` projected by ``q``, each layer pushed forward along q, and q."""
-    return (q.rows, tuple(pushforward(q, x) for x in ob[1])), q
+    """The quotient of ``ob`` projected by ``q``, and q: the layers are nested, so
+    their images along q are the spans of one echelon (:func:`nested_spans`)."""
+    return (q.rows, tuple(nested_spans(q.rows, [q @ x.basis for x in ob[1]]))), q
 
 
 class FlagBackend(MatrixBackend):
@@ -142,7 +141,7 @@ class FlagBackend(MatrixBackend):
         n, xs = a_payload
         m, ys = b_payload
         # the block-diagonal of two canonical bases is already canonical
-        return (n + m, tuple(Subspace._canonical(n + m, block_diagonal(x.basis, y.basis))
+        return (n + m, tuple(Subspace._canonical(block_diagonal(x.basis, y.basis))
                              for x, y in zip(xs, ys)))
 
     def drop_coordinate(self, payload, j: int):
@@ -167,6 +166,9 @@ class FlagBackend(MatrixBackend):
         fbar maps the coimage layers f(X_i), of dimension rank(f X_i),
         into the image layers Y_i meet f(V), of dimension
         r + dim Y_i - rank[f | Y_i], and is an iso exactly when these agree.
+        The layers are nested, so r and every rank[f | Y_i] are read off
+        one echelon of f, Y_1, Y_2, ... (:func:`nested_spans`), and every
+        rank(f X_i) off one of f X_1, f X_2, ...
 
         When f is invertible, this is dim X_i == dim Y_i.  Proof: the
         inverse matrix is a morphism exactly when each Y_i lies in f(X_i).
@@ -176,11 +178,11 @@ class FlagBackend(MatrixBackend):
         """
         (n, xs), (m, ys) = f.dom, f.cod
         mat = f.payload
-        r = rank(mat)
+        r, *spans = (s.dim for s in nested_spans(m, [mat] + [y.basis for y in ys]))
         if r == n == m:
             return r, all(x.dim == y.dim for x, y in zip(xs, ys))
-        return r, all(rank(mat @ x.basis) + rank(hstack(mat, y.basis)) == r + y.dim
-                      for x, y in zip(xs, ys))
+        images = nested_spans(m, [mat @ x.basis for x in xs])
+        return r, all(fx.dim + s == r + y.dim for fx, s, y in zip(images, spans, ys))
 
     def kernel_data(self, f: Morphism):
         return _subobject(kernel_basis(f.payload).basis, f.dom)

@@ -6,14 +6,16 @@ floating point is used anywhere.  Products, row reductions, stacks and
 transposes compute on the numerators and reduce by one gcd at the end;
 :class:`fractions.Fraction` values are built only at the API and JSON
 boundary, where entries go in or come out.  Matrices are immutable and
-row-major.  Every row reduction runs through one core: integer rows are
-absorbed one at a time into an echelon (:func:`_absorb`), whose rows
-over their pivots are the rref.  Subspaces of Q^n are kept in a
-canonical basis (reduced column echelon form), which makes subspace
-equality a plain ``==``.  A kernel's canonical basis is read off one
-elimination, of the matrix with its columns in reverse order, and so
-are preimages and quotient coordinates; the zero and full subspaces
-need no elimination at all.
+row-major.  Every row reduction runs through one core: integer vectors
+are absorbed one at a time into an echelon (:func:`_absorb`), whose rows
+over their pivots are the rref.  Spans absorb columns
+(:func:`nested_spans`); kernels and solves absorb rows
+(:func:`_rref_pivots`).  Subspaces of Q^n are kept in a canonical basis
+(reduced column echelon form), which makes subspace equality a plain
+``==``.  A kernel's canonical basis is read off one elimination, of the
+matrix with its columns in reverse order, and so are preimages and
+quotient coordinates; the zero and full subspaces need no elimination at
+all.
 
 >>> m = RatMatrix.from_rows([[2, 4], [1, 2]])
 >>> rref(m) == RatMatrix.from_rows([[1, 2], [0, 0]])
@@ -36,7 +38,7 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # the largest dimension a JSON input may declare.  It bounds the shapes
 # an input can declare, not the time: a dense input far below it can
 # still run for minutes.  With entries in -3..3 on a 2-CPU machine, a
-# dense 80x160 vectq decompose takes 1.4 s and a dense 30x60 latz one
+# dense 80x160 vectq decompose takes 1.2 s and a dense 30x60 latz one
 # 0.6 s, but a dense 40x80 latz one runs over a minute and then fails:
 # its coimage has an entry of over 6,000 digits, past Python's str limit
 MAX_DIM = 512
@@ -446,11 +448,12 @@ def row_echelon_basis(m: RatMatrix) -> RatMatrix:
 def column_echelon_basis(m: RatMatrix) -> RatMatrix:
     """Canonical basis of the column space of ``m``.
 
-    The columns of the result are the nonzero rows of rref(m^T); this
-    reduced column echelon form depends only on the span, so two
-    matrices have equal column space iff this function agrees on them.
+    The columns of the result are the nonzero rows of rref(m^T), read off
+    one echelon of m's columns (:func:`nested_spans`); this reduced column
+    echelon form depends only on the span, so two matrices have equal
+    column space iff this function agrees on them.
     """
-    return row_echelon_basis(m.transpose()).transpose()
+    return nested_spans(m.rows, [m])[0].basis
 
 
 def _kernel_echelon(m: RatMatrix) -> RatMatrix:
@@ -484,7 +487,7 @@ def _kernel_echelon(m: RatMatrix) -> RatMatrix:
 
 def kernel_basis(m: RatMatrix) -> "Subspace":
     """The solution space of m x = 0, as a canonical Subspace of Q^cols."""
-    return Subspace._canonical(m.cols, _kernel_echelon(m))
+    return Subspace._canonical(_kernel_echelon(m))
 
 
 def image_basis(m: RatMatrix) -> "Subspace":
@@ -564,16 +567,13 @@ class Subspace:
     stored through :meth:`_canonical` instead.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("basis",)
 
     def __init__(self, ambient_dim: int, basis: RatMatrix):
-        if basis.rows != ambient_dim:
-            raise ValueError("basis does not live in the stated ambient space")
-        self.ambient_dim = ambient_dim
-        self.basis = column_echelon_basis(basis)
+        self.basis = nested_spans(ambient_dim, [basis])[0].basis
 
     @classmethod
-    def _canonical(cls, ambient_dim: int, basis: RatMatrix) -> "Subspace":
+    def _canonical(cls, basis: RatMatrix) -> "Subspace":
         """The subspace whose basis already is in reduced column echelon form.
 
         Nothing is checked: the caller vouches for the form.  The callers
@@ -585,13 +585,13 @@ class Subspace:
         - ``FlagBackend.direct_sum_payload``, whose layers are the
           block-diagonal of two canonical bases: the blocks' pivot rows
           do not overlap, so the result is canonical too;
-        - ``FlagBackend.drop_coordinate``, which deletes a row that is
-          not a pivot row: the pivot rows keep their lone leading 1s;
-        - :func:`nested_spans`, which reads the rref of the columns so
-          far off the same echelon as every elimination (:func:`_absorb`).
+        - ``flags._delete_coordinate``, which deletes a row that is not
+          a pivot row: the pivot rows keep their lone leading 1s;
+        - :func:`nested_spans`, the one column echelon (:func:`_absorb`)
+          that every other span, :meth:`__init__` included, is read off.
         """
         s = object.__new__(cls)
-        s.ambient_dim, s.basis = ambient_dim, basis
+        s.basis = basis
         return s
 
     @classmethod
@@ -603,11 +603,15 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls._canonical(ambient_dim, RatMatrix.zeros(ambient_dim, 0))
+        return cls._canonical(RatMatrix.zeros(ambient_dim, 0))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls._canonical(ambient_dim, RatMatrix.identity(ambient_dim))
+        return cls._canonical(RatMatrix.identity(ambient_dim))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.rows
 
     @property
     def dim(self) -> int:
@@ -616,10 +620,10 @@ class Subspace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.basis == other.basis
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash(self.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -631,8 +635,6 @@ class Subspace:
         :func:`solve_right` reads the coordinates of ``other``'s basis
         off those rows and checks one product, with no elimination.
         """
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient spaces differ")
         return solve_right(self.basis, other.basis) is not None
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -646,8 +648,6 @@ class Subspace:
         return Subspace.span(self.ambient_dim, self.basis @ coeffs)
 
     def add(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient spaces differ")
         return Subspace.span(self.ambient_dim, hstack(self.basis, other.basis))
 
     def __add__(self, other: "Subspace") -> "Subspace":
@@ -656,8 +656,6 @@ class Subspace:
 
 def pushforward(m: RatMatrix, s: Subspace) -> Subspace:
     """Image of ``s`` under the linear map ``m``."""
-    if m.cols != s.ambient_dim:
-        raise ValueError("map domain does not match subspace ambient space")
     return Subspace.span(m.rows, m @ s.basis)
 
 
@@ -674,8 +672,7 @@ def preimage(m: RatMatrix, s: Subspace) -> Subspace:
     if m.rows != s.ambient_dim:
         raise ValueError("map codomain does not match subspace ambient space")
     k = _kernel_echelon(hstack(m, s.basis))
-    return Subspace._canonical(
-        m.cols, RatMatrix._of(m.cols, k.cols, k._num[: m.cols * k.cols], k._den))
+    return Subspace._canonical(RatMatrix._of(m.cols, k.cols, k._num[: m.cols * k.cols], k._den))
 
 
 def nested_spans(dim: int, blocks: Sequence[RatMatrix]) -> list[Subspace]:
@@ -693,7 +690,7 @@ def nested_spans(dim: int, blocks: Sequence[RatMatrix]) -> list[Subspace]:
     out = []
     for b in blocks:
         if b.rows != dim:
-            raise ValueError("block does not live in the stated ambient space")
+            raise ValueError("basis does not live in the stated ambient space")
         k, num, rank_before = b.cols, b._num, len(rows)
         for j in range(k):
             if len(rows) == dim:
@@ -703,7 +700,7 @@ def nested_spans(dim: int, blocks: Sequence[RatMatrix]) -> list[Subspace]:
         if len(rows) > rank_before:
             flat, d = _finished(rows, pivots)
             num = [x for i in range(dim) for x in flat[i::dim]]
-            cur = Subspace._canonical(dim, RatMatrix._of(dim, len(rows), num, d))
+            cur = Subspace._canonical(RatMatrix._of(dim, len(rows), num, d))
         out.append(cur)
     return out
 

@@ -1,10 +1,11 @@
 """Shared fixtures."""
 
 import signal
+import sys
 
 import pytest
 
-from preab import ConstraintViolation
+from preab import ConstraintViolation, linalg
 from preab.core import Opposite
 from preab.linalg import invert
 
@@ -41,3 +42,26 @@ def _is_iso_by_inversion(cat, f):
 def is_iso_by_inversion():
     """An iso test independent of ``is_iso`` and ``classify``."""
     return _is_iso_by_inversion
+
+
+@pytest.fixture
+def echelons(monkeypatch):
+    """A list that records every echelon built, by name: each call of
+    ``linalg._rref_pivots`` (rows absorbed: kernels, preimages, solves,
+    row spaces) and of ``linalg.nested_spans`` (columns absorbed: every
+    column span).  The functions are counted under every name that binds
+    them in a ``preab`` module, so a module that imports one by name
+    cannot get past the count."""
+    calls = []
+    for name in ("_rref_pivots", "nested_spans"):
+        real = getattr(linalg, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("preab") \
+                    and vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, counted)
+    return calls

@@ -162,47 +162,129 @@ def test_adapted_columns_run_up_the_chain(name):
         assert (p, block) == _greedy_adapted_columns(n, layers)
 
 
-def test_subspace_questions_take_one_elimination_each(monkeypatch):
-    """Counts calls of the one elimination routine, so that a second
-    elimination per question (building a Subspace only to test it, or
-    eliminating a basis that is already canonical) shows up.  A layer
-    check solves against a canonical basis, which needs no elimination,
-    and each layer of a kernel or cokernel takes one.  Drawing an object
-    needs none (its layers come from one incremental elimination), and
-    neither does the adapted basis of a chain of zero or full layers, so
-    a vectq morphism or iso is drawn with none."""
-    calls = []
-    real = linalg._rref_pivots
-    monkeypatch.setattr(linalg, "_rref_pivots", lambda m: calls.append(m) or real(m))
-
+def test_subspace_questions_take_one_elimination_each(echelons):
+    """Counts every echelon built (the ``echelons`` fixture), so that a
+    second elimination per question (building a Subspace only to test
+    it, eliminating a basis that is already canonical, or a chain one
+    layer at a time) shows up.  A layer check solves against a canonical
+    basis, which needs no elimination; a kernel's layers take one
+    preimage each, and a quotient's whole chain one echelon of the
+    pushed-forward layers.  A column span is one echelon of the columns,
+    with no transposed copy.  Drawing an object takes one echelon when
+    its layers are spanned by drawn blocks and none otherwise, and the
+    adapted basis of a chain of zero or full layers takes none, so a
+    vectq morphism or iso is drawn with none."""
     def count(call, *args):
-        calls.clear()
+        echelons.clear()
         call(*args)
-        return len(calls)
+        return list(echelons)
 
+    rows, cols = ["_rref_pivots"], ["nested_spans"]
     rng = random.Random("elimination counts")
     for _ in range(40):
         a, b = FILTVECT3.random_object(rng, 4), FILTVECT3.random_object(rng, 4)
         f = FILTVECT3.random_morphism(rng, a, b)
         (n, xs), (_, ys) = a, b
-        assert count(FILTVECT3.check_payload_constraints, a, b, f.payload) == 0
-        assert count(ys[-1].contains, ys[0]) == 0
+        assert count(FILTVECT3.check_payload_constraints, a, b, f.payload) == []
+        assert count(ys[-1].contains, ys[0]) == []
         for y in ys:
-            assert count(preimage, f.payload, y) == 1
+            assert count(preimage, f.payload, y) == rows
         trivial = all(x.dim in (0, n) for x in xs)
-        assert count(_adapted_columns, n, xs) == (0 if trivial else 1)
-        assert count(linalg.kernel_basis, f.payload) == 1
-        assert count(FILTVECT3.kernel_data, f) == 1 + len(xs)
-        assert count(FILTVECT3.cokernel_data, f) == 1 + len(ys)
-        assert count(Subspace.zero, n) == count(Subspace.full, n) == 0
-        assert count(FILTVECT3.direct_sum_payload, a, b) == 0
-        assert count(FILTVECT3.biproduct, a, b) == 0
+        assert count(_adapted_columns, n, xs) == ([] if trivial else rows)
+        assert count(linalg.kernel_basis, f.payload) == rows
+        assert count(linalg.column_echelon_basis, f.payload) == cols
+        assert count(FILTVECT3.kernel_data, f) == rows * (1 + len(xs))
+        assert count(FILTVECT3.cokernel_data, f) == rows + cols
+        assert count(FILTVECT3.coimage_data, f) == rows + cols
+        assert count(FILTVECT3.image_data, f) == cols + rows * len(ys)
+        assert count(Subspace.zero, n) == count(Subspace.full, n) == []
+        assert count(FILTVECT3.direct_sum_payload, a, b) == []
+        assert count(FILTVECT3.biproduct, a, b) == []
     for _ in range(40):
         for cat in (VECTQ, SUBVECT, FILTVECT3):
-            assert count(cat.random_object, rng, 6) == 0
+            state = rng.getstate()
+            spanned = rng.random() >= 0.20  # random_object's first draw picks the branch
+            rng.setstate(state)
+            assert count(cat.random_object, rng, 6) == (cols if spanned else [])
         a, b = VECTQ.random_object(rng, 6), VECTQ.random_object(rng, 6)
-        assert count(VECTQ.random_morphism, rng, a, b) == 0
-        assert count(VECTQ.random_iso, rng, a) == 0
+        assert count(VECTQ.random_morphism, rng, a, b) == []
+        assert count(VECTQ.random_iso, rng, a) == []
+
+
+def _per_layer_rank_and_strict(f):
+    """The flag strictness rule with one rank per layer quantity:
+    rank(f), then rank(f X_i) and rank[f | Y_i] for each layer pair."""
+    (n, xs), (m, ys) = f.dom, f.cod
+    mat = f.payload
+    r = linalg.rank(mat)
+    return r, all(linalg.rank(mat @ x.basis) + linalg.rank(linalg.hstack(mat, y.basis))
+                  == r + y.dim for x, y in zip(xs, ys))
+
+
+def _chain_cases(f):
+    """Which of the cases a chain computation must meet ``f`` is."""
+    (n, xs), (m, ys) = f.dom, f.cod
+    r, strict = _per_layer_rank_and_strict(f)
+    cases = {"strict" if strict else "not strict"}
+    if r == n == m:
+        cases.add("invertible")
+    elif r == n:
+        cases.add("mono")
+    elif r == m:
+        cases.add("epi")
+    layers = [s for s in xs + ys if s.ambient_dim]
+    if any(s.dim == 0 for s in layers):
+        cases.add("zero layer")
+    if any(s.dim == s.ambient_dim for s in layers):
+        cases.add("full layer")
+    return cases
+
+
+@pytest.mark.parametrize("name", ["subvect", "filtvect3"])
+def test_chains_read_off_one_echelon_match_per_layer_forms(name):
+    """The quotient legs push the whole layer chain forward in one
+    echelon, and rank_and_strict reads every rank off two; each agrees
+    with the per-layer computation it replaces.  The ranks are compared
+    on each non-zero draw and on its two quotient legs, which are
+    strict epis with proper layer chains (most non-zero draws are not
+    strict)."""
+    cat = BACKENDS[name]
+    rng = random.Random(f"chain oracle:{name}")
+    seen = set()
+    for _ in range(150):
+        a, b = cat.random_object(rng, 4), cat.random_object(rng, 4)
+        f = cat.random_morphism(rng, a, b)
+        if f.payload.is_zero():
+            continue
+        legs = []
+        for hook, ob in ((cat.cokernel_data, f.cod), (cat.coimage_data, f.dom)):
+            apex, q = hook(f)
+            assert apex[1] == tuple(pushforward(q, x) for x in ob[1])
+            legs.append(cat.make_morphism(ob, apex, q))
+        for g in [f] + legs:
+            assert cat.rank_and_strict(g) == _per_layer_rank_and_strict(g)
+            seen |= _chain_cases(g)
+    assert seen == {"invertible", "mono", "epi", "zero layer", "full layer",
+                    "strict", "not strict"}
+
+
+@pytest.mark.parametrize("name", ["vectq", "subvect", "filtvect3"])
+def test_flag_strictness_takes_at_most_two_echelons(name, echelons):
+    """One echelon of f and the codomain layers gives r and every
+    rank[f | Y_i]; an invertible f needs no more, and any other f takes
+    one more, of the images f X_i, where the per-layer rule took 2k + 1."""
+    cat = BACKENDS[name]
+    rng = random.Random(f"two echelons:{name}")
+    seen = set()
+    for _ in range(80):
+        f = cat.random_morphism(rng, cat.random_object(rng, 4), cat.random_object(rng, 4))
+        (n, _), (m, _) = f.dom, f.cod
+        echelons.clear()
+        r, _ = cat.rank_and_strict(f)
+        invertible = r == n == m
+        assert echelons == ["nested_spans"] * (1 if invertible else 2)
+        seen.add(invertible)
+    assert seen == {True, False}
 
 
 def _pivot_rows(s):
@@ -211,22 +293,20 @@ def _pivot_rows(s):
 
 
 @pytest.mark.parametrize("name", ["vectq", "subvect", "filtvect3"])
-def test_drop_coordinate_matches_respanning(name, monkeypatch):
+def test_drop_coordinate_matches_respanning(name, echelons):
     """Deleting a coordinate keeps a layer's basis canonical unless the
-    row held a pivot; only those layers are eliminated again."""
+    row held a pivot; only those layers are eliminated again, each by
+    one echelon of its columns."""
     cat = BACKENDS[name]
-    calls = []
-    real = linalg._rref_pivots
-    monkeypatch.setattr(linalg, "_rref_pivots", lambda m: calls.append(m) or real(m))
     rng = random.Random(f"drop coordinate:{name}")
     seen = set()
     for _ in range(60):
         n, layers = payload = cat.random_object(rng, 5)
         for j in range(n):
-            calls.clear()
+            echelons.clear()
             m, dropped = cat.drop_coordinate(payload, j)
             pivots = sum(j in _pivot_rows(s) for s in layers)
-            assert len(calls) == pivots
+            assert echelons == ["nested_spans"] * pivots
             seen.add(pivots > 0)
             assert m == n - 1
             cat.make_object((m, dropped))

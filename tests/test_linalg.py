@@ -17,7 +17,6 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preab import linalg
 from preab.backends import FILTVECT3, VECTQ
 from preab.lattice import IntLattice, column_hnf, integer_kernel
 from preab.linalg import (
@@ -159,6 +158,17 @@ def test_zero_dimensional_shapes():
     assert solve_right(b, RatMatrix.zeros(3, 2)) == RatMatrix.zeros(0, 2)
     assert solve_right(b, _m([[1], [0], [0]])) is None
     assert invert(RatMatrix.zeros(0, 0)) == RatMatrix.zeros(0, 0)
+
+
+def test_subspaces_of_different_ambient_spaces_are_refused():
+    line, plane = _span(2, (1, 0)), Subspace.full(3)
+    for call in (lambda: Subspace(3, _m([[1], [0]])), lambda: plane.contains(line),
+                 lambda: line.contains(plane), lambda: plane.add(line),
+                 lambda: plane.intersect(line), lambda: pushforward(_m([[1, 0, 0]]), line),
+                 lambda: preimage(_m([[1, 0, 0]]), line)):
+        with pytest.raises(ValueError):
+            call()
+    assert line != Subspace.full(2) and Subspace.zero(2) != Subspace.zero(3)
 
 
 def test_stacking():
@@ -470,16 +480,14 @@ def test_solve_right_matches_the_elimination_route():
     assert outcomes == {family: {True, False} for family in outcomes}
 
 
-def test_solve_against_a_canonical_basis_takes_no_elimination(monkeypatch):
+def test_solve_against_a_canonical_basis_takes_no_elimination(echelons):
     rng = random.Random("solve_right no elimination")
     bases = [Subspace.span(n, _random_matrix(rng, n, rng.randint(0, 5))).basis
              for n in range(6) for _ in range(8)]
     systems = list(_with_right_hand_sides(rng, (("canonical", a) for a in bases)))
-    calls = []
-    real = linalg._rref_pivots
-    monkeypatch.setattr(linalg, "_rref_pivots", lambda m: calls.append(m) or real(m))
+    echelons.clear()
     solved = [solve_right(a, b) is not None for _, a, b in systems]
-    assert calls == [] and set(solved) == {True, False}
+    assert echelons == [] and set(solved) == {True, False}
 
 
 def test_kernel_vectors_are_killed():
@@ -547,10 +555,27 @@ def _chain_block(rng: random.Random, dim: int) -> RatMatrix:
 def _sympy_column_echelon(m: RatMatrix) -> RatMatrix:
     """The reduced column echelon form of m's column span: sympy's rref of
     m transposed, its non-zero rows taken as columns."""
-    if m.rows == 0 or m.cols == 0:
-        return RatMatrix.zeros(m.rows, 0)
     r, pivots = _to_sympy(m.transpose()).rref()
     return _from_sympy(r[: len(pivots), :]).transpose()
+
+
+def test_column_echelon_basis_matches_sympy():
+    """One echelon of the columns, which stops once the rank is the row
+    count, gives sympy's rref of the transpose, on the workload shapes
+    and on every shape with no rows or no columns."""
+    rng = random.Random("column echelon against sympy")
+    seen = set()
+    for m, entries in _workload_shaped_draws(rng):
+        ours = column_echelon_basis(m)
+        assert ours == _sympy_column_echelon(m)
+        full = ours.cols == min(m.shape)
+        seen.add((entries, full))
+        if ours.cols == m.rows < m.cols:
+            seen.add("wide at full row rank")  # the echelon stops early
+    assert len(seen) == 5
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        m = RatMatrix.zeros(*shape)
+        assert column_echelon_basis(m) == _sympy_column_echelon(m) == RatMatrix.zeros(shape[0], 0)
 
 
 def test_nested_spans_match_stacked_spans():
