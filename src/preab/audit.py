@@ -37,23 +37,22 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .backends import get_backend
 from .conditions import (
-    ALL_CONDITIONS,
+    CONDITION_NAMES,
     FAIL,
     PASS,
     CheckResult,
-    ConditionId,
     MorphismInstance,
     PairInstance,
     SquareInstance,
     check_condition,
     classify,
+    condition_side,
     probe_semistable,
     run_check,
 )
 from .core import Category, cokernel, kernel, pushout
 from .linalg import RatMatrix
 
-CONDITION_NAMES = tuple(str(c) for c in ALL_CONDITIONS)
 EXTRA_SAMPLE_KEYS = ("strictness", "semistable")
 KNOWN_SAMPLE_KEYS = frozenset(CONDITION_NAMES) | set(EXTRA_SAMPLE_KEYS) | {"default"}
 
@@ -188,7 +187,7 @@ def _generate_right(cat: Category, index: str, rng: random.Random, bound: int):
     raise ValueError(f"unknown condition index: {index!r}")
 
 
-def generate_instance(backend: str, cond, dim_bound: int, seed):
+def generate_instance(backend: str, cond: str, dim_bound: int, seed):
     """Deterministically build one instance for a condition, on the base side.
 
     The instance meets its condition's hypothesis by construction (see
@@ -196,13 +195,13 @@ def generate_instance(backend: str, cond, dim_bound: int, seed):
     a correct backend.  A left condition is built as its right mirror in
     the opposite category and returned dualized.
     """
-    cond = ConditionId.parse(cond)
+    side, index = condition_side(cond)
     base = get_backend(backend)
-    cat = base if cond.side == "right" else base.opposite()
+    cat = base if side == "right" else base.opposite()
     # the ":try:0" suffix is kept so that every draw, and so every
     # report, stays byte-identical to those of earlier versions
-    inst = _generate_right(cat, cond.index, random.Random(f"{seed}:try:0"), dim_bound)
-    return inst if cond.side == "right" else inst.dualize()
+    inst = _generate_right(cat, index, random.Random(f"{seed}:try:0"), dim_bound)
+    return inst if side == "right" else inst.dualize()
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,10 @@ def cmd_decompose(args) -> int:
     blob = _load_json(args.morphism)
     if not isinstance(blob, dict):
         raise ValueError("morphism must be a JSON object")
-    name = blob.get("backend")
-    if not isinstance(name, str):
-        raise ValueError("morphism JSON needs a backend name")
-    if args.backend and name != args.backend:
-        raise ValueError(f"morphism backend {name!r} does not match "
+    cat = get_backend(blob.get("backend"))
+    if args.backend and cat.name != args.backend:
+        raise ValueError(f"morphism backend {cat.name!r} does not match "
                          f"--backend {args.backend!r}")
-    cat = get_backend(name)
     f = cat.morphism_from_json(blob)
     d = decompose(f)
     sys.stdout.write(_canonical({

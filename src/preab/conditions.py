@@ -8,7 +8,10 @@ the middle arrow of the canonical decomposition, two composite-cone
 identities, an image-slide law and a sampling probe for semi-stability.
 Every named check is declared once, in one table with the instance kind
 it takes; each left-side check, and the image slide across cokernels, is
-its mirror check run in the opposite category.
+its mirror check run in the opposite category.  A condition's name is a
+plain string of :data:`CONDITION_NAMES`, such as "right.iii", and
+:func:`condition_side` is the one lookup that reads its side and index;
+an unknown name is refused where it is looked up.
 
 Checkers are pure.  Each returns a CheckResult whose instance payload
 serializes to JSON, so any failure can be replayed.  Each instance kind
@@ -58,35 +61,17 @@ PASS = "pass"
 FAIL = "fail"
 VACUOUS = "vacuous"
 
-SIDES = ("right", "left")
 INDICES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
+# the catalog's condition names: right.i ... right.vii, then left.i ... left.vii
+CONDITION_NAMES = tuple(f"{side}.{index}" for side in ("right", "left") for index in INDICES)
 
 
-@dataclass(frozen=True)
-class ConditionId:
-    """One entry of the two-sided condition catalog, e.g. right.iii."""
-
-    side: str
-    index: str
-
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"unknown condition side: {self.side!r}")
-        if self.index not in INDICES:
-            raise ValueError(f"unknown condition index: {self.index!r}")
-
-    def __str__(self):
-        return f"{self.side}.{self.index}"
-
-    @classmethod
-    def parse(cls, text: str) -> "ConditionId":
-        side, sep, index = str(text).partition(".")
-        if not sep:
-            raise ValueError(f"condition must look like 'right.iii', got {text!r}")
-        return cls(side, index)
-
-
-ALL_CONDITIONS = tuple(ConditionId(s, i) for s in SIDES for i in INDICES)
+def condition_side(name: str) -> tuple[str, str]:
+    """A condition name's (side, index), e.g. ("right", "iii"); ValueError on any other name."""
+    if name not in CONDITION_NAMES:
+        raise ValueError(f"unknown condition: {name!r} (known: {', '.join(CONDITION_NAMES)})")
+    side, _, index = name.partition(".")
+    return side, index
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +256,7 @@ def instance_from_json(blob: dict) -> Instance:
     """Parse any instance kind; raises ValueError on malformed input."""
     if not isinstance(blob, dict):
         raise ValueError("instance must be a JSON object")
-    name = _require(blob, "backend")
-    if not isinstance(name, str):
-        raise ValueError("instance backend must be a string")
-    cat = get_backend(name)
+    cat = get_backend(_require(blob, "backend"))
     kind = _require(blob, "kind")
     if kind == "morphism":
         return MorphismInstance(cat.morphism_from_json(_require(blob, "morphism")))
@@ -436,7 +418,7 @@ def check_right_vii(sq: Square) -> CheckResult:
 # dispatch and the left side
 
 
-def check_left(cond, instance: Instance) -> CheckResult:
+def check_left(cond: str, instance: Instance) -> CheckResult:
     """Evaluate a left-side condition on a base-side instance.
 
     The instance is transported to the opposite category, the matching
@@ -444,15 +426,15 @@ def check_left(cond, instance: Instance) -> CheckResult:
     returned result keeps the original instance so it serializes (and
     replays) on the base side.  A right-side condition raises ValueError.
     """
-    cond = ConditionId.parse(cond)
-    if cond.side != "left":
+    if condition_side(cond)[0] != "left":
         raise ValueError(f"check_left takes a left-side condition, got {cond}")
-    return _run(str(cond), instance)
+    return _run(cond, instance)
 
 
-def check_condition(cond, instance: Instance) -> CheckResult:
-    """Evaluate any catalog condition ("right.iii", ConditionId, ...)."""
-    return _run(str(ConditionId.parse(cond)), instance)
+def check_condition(cond: str, instance: Instance) -> CheckResult:
+    """Evaluate any catalog condition, e.g. "right.iii"."""
+    condition_side(cond)
+    return _run(cond, instance)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +493,6 @@ def check_image_slide(f: Morphism, g: Morphism, side: str) -> CheckResult:
     across an inner cokernel) by transport to the opposite category, and
     is vacuous unless f is a cokernel.
     """
-    if side not in ("kernels", "cokernels"):
-        raise ValueError(f"unknown image-slide side: {side!r}")
     return _run(f"image_slide.{side}", PairInstance(outer=g, inner=f))
 
 

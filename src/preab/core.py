@@ -35,22 +35,15 @@ class Morphism:
 
     The payload is backend-specific (a matrix for the concrete
     categories here, a wrapped base morphism in an opposite category).
-    Composition is available as ``g @ f``.
+    Composition is available as ``g @ f``.  Two morphisms are equal when
+    they live in the same category object (a :class:`Category` defines
+    no ``__eq__``) and have equal domains, codomains and payloads.
     """
 
     category: "Category"
     dom: Any
     cod: Any
     payload: Any
-
-    def __eq__(self, other):
-        if not isinstance(other, Morphism):
-            return NotImplemented
-        return (self.category is other.category and self.dom == other.dom
-                and self.cod == other.cod and self.payload == other.payload)
-
-    def __hash__(self):
-        return hash((id(self.category), self.dom, self.cod, self.payload))
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
         return self.category.compose(self, other)

@@ -132,18 +132,15 @@ class RatMatrix:
         ncols = len(rows[0])
         data = []
         for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
+            if isinstance(r, str) or len(r) != ncols:
+                raise ValueError("ragged or string rows")
             data.extend(frac(x) for x in r)
         return cls(nrows, ncols, data)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
-        ncols = len(columns)
-        if ncols == 0:
-            return cls(rows or 0, 0, ())
-        return cls.from_rows([[c[i] for c in columns] for i in range(len(columns[0]))],
-                             cols=ncols)
+        """Build from columns, as :meth:`from_rows` does from rows."""
+        return cls.from_rows(columns, cols=rows).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":

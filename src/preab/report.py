@@ -9,7 +9,7 @@ schema versions are refused, never guessed at.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import __version__
 from .audit import AuditConfig, AuditReport
@@ -25,11 +25,7 @@ class ReportDocument:
     config: dict
     report: dict
     schema_version: int = SCHEMA_VERSION
-    tool: dict = None
-
-    def __post_init__(self):
-        if self.tool is None:
-            object.__setattr__(self, "tool", {"name": TOOL_NAME, "version": __version__})
+    tool: dict = field(default_factory=lambda: {"name": TOOL_NAME, "version": __version__})
 
     @classmethod
     def from_audit(cls, report: AuditReport) -> "ReportDocument":

@@ -13,10 +13,9 @@ import pytest
 from preab import BACKENDS
 from preab.backends import LATZ, SUBVECT, VECTQ
 from preab.conditions import (
-    ALL_CONDITIONS,
     CHECKS,
+    CONDITION_NAMES,
     CheckResult,
-    ConditionId,
     MorphismInstance,
     PairInstance,
     ProbeInstance,
@@ -35,6 +34,7 @@ from preab.conditions import (
     check_semi_abelian,
     check_semistable_step,
     check_strict,
+    condition_side,
     instance_from_json,
     probe_semistable,
     run_check,
@@ -54,25 +54,24 @@ def subvect_witness():
 
 
 # ---------------------------------------------------------------------------
-# condition ids
+# condition names
 
 
-def test_condition_id():
-    c = ConditionId.parse("right.iii")
-    assert (c.side, c.index) == ("right", "iii")
-    assert str(c) == "right.iii"
-    assert len(ALL_CONDITIONS) == 14
-    with pytest.raises(ValueError):
-        ConditionId.parse("middle.iii")
-    with pytest.raises(ValueError):
-        ConditionId.parse("right.viii")
-    with pytest.raises(ValueError):
-        ConditionId.parse("right")
+def test_condition_names():
+    """The catalog's names are plain strings, right side first, and
+    condition_side is their one lookup."""
+    assert len(CONDITION_NAMES) == len(set(CONDITION_NAMES)) == 14
+    assert CONDITION_NAMES[0] == "right.i" and CONDITION_NAMES[7] == "left.i"
+    assert condition_side("right.iii") == ("right", "iii")
+    assert condition_side("left.vii") == ("left", "vii")
+    for bad in ("middle.iii", "right.viii", "right", "strict", "image_slide.kernels", ""):
+        with pytest.raises(ValueError, match="unknown condition"):
+            condition_side(bad)
 
 
 def test_registry_covers_catalog():
-    for cond in ALL_CONDITIONS:
-        assert str(cond) in CHECKS
+    for cond in CONDITION_NAMES:
+        assert cond in CHECKS
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -854,6 +854,26 @@ def test_opposite_builds_and_serializes_the_base_read_backwards(name):
 
 
 @pytest.mark.parametrize("name", ALL)
+def test_morphisms_are_equal_exactly_when_all_four_fields_are(name):
+    """Equal morphisms share their category object, which compares by
+    identity, and have equal domains, codomains and payloads."""
+    cat = BACKENDS[name]
+    twin = LatZBackend() if name == "latz" else FlagBackend(name, cat.n_layers)
+    rng = random.Random(f"equality:{name}")
+    for _ in range(10):
+        f = rand_pair(cat, rng)
+        fo = dualize(f)
+        copy = Morphism(cat, f.dom, f.cod, f.payload.transpose().transpose())
+        assert copy == f and hash(copy) == hash(f)
+        assert twin.make_morphism(f.dom, f.cod, f.payload) != f
+        for g in (f, fo):
+            back = dualize(dualize(g))
+            assert back == g and hash(back) == hash(g)
+            assert g != g.payload and g.payload != g
+        assert dualize(dualize(fo)) is not fo
+
+
+@pytest.mark.parametrize("name", ALL)
 def test_dualize_swaps_classification(name):
     cat = BACKENDS[name]
     rng = random.Random(f"dual:{name}")

@@ -7,7 +7,11 @@ On ``latz`` it fixes every object Z^r.  On the flag backends it sends
 F^perp is the solution space of F's basis transposed; a map that sends
 each F_i into G_i has a transpose that sends each G_i^perp into
 F_i^perp.  So D(f) must classify as ``dualize(f)`` does, and D must
-carry the kernel of f to the cokernel of D(f) and back.
+carry the kernel of f to the cokernel of D(f) and back.  And a left
+condition, which the checker decides in the ``Opposite`` category, must
+get the verdict its right mirror gets on the instance's image under D,
+in the base category; D sends a pullback square to a pushout square,
+which the checker is left to verify.
 
 *Strictness in closed form.*  A flag morphism f: (V, F) -> (W, G) is
 strict exactly when dim f(F_i) = dim(f(V) meet G_i) for every layer,
@@ -57,8 +61,18 @@ from preab import (
     quotient_iso,
     subobject_iso,
 )
+from preab.audit import generate_instance
 from preab.backends import LATZ
 from preab.backends.flags import FlagBackend
+from preab.conditions import (
+    INDICES,
+    VACUOUS,
+    MorphismInstance,
+    PairInstance,
+    SquareInstance,
+    check_condition,
+)
+from preab.core import Square
 from preab.lattice import column_hnf, integer_kernel
 from preab.linalg import RatMatrix, Subspace, block_diagonal, hstack, kernel_basis, rank
 
@@ -96,6 +110,34 @@ def test_concrete_duality_agrees_with_the_opposite(name):
         assert quotient_iso(_dual_morphism(cat, kernel(f).leg), cokernel(df).leg) is not None
         assert subobject_iso(_dual_morphism(cat, cokernel(f).leg), kernel(df).leg) is not None
         assert classify(df) == classify(dualize(f))
+
+
+def _dual_instance(cat, inst):
+    """D(inst): each edge through D, reversed; a square is rebuilt as
+    "commutative", so the checker verifies that it is a pushout."""
+    def d(f):
+        return _dual_morphism(cat, f)
+
+    if isinstance(inst, MorphismInstance):
+        return MorphismInstance(d(inst.f))
+    if isinstance(inst, PairInstance):
+        return PairInstance(outer=d(inst.inner), inner=d(inst.outer))
+    sq = inst.square
+    return SquareInstance(Square(top=d(sq.bottom), left=d(sq.right),
+                                 bottom=d(sq.top), right=d(sq.left)))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_left_verdicts_match_the_right_verdicts_through_concrete_duality(name):
+    """Two routes to each left.x verdict: the Opposite transport, and the
+    right.x checker on the instance carried to the base category by D."""
+    cat = BACKENDS[name]
+    for index in INDICES:
+        for i in range(10):
+            inst = generate_instance(name, f"left.{index}", 3, f"concrete duality:{i}")
+            verdict = check_condition(f"right.{index}", _dual_instance(cat, inst)).verdict
+            assert verdict != VACUOUS, (index, i)
+            assert check_condition(f"left.{index}", inst).verdict == verdict, (index, i)
 
 
 def _closed_form_strict(cat, f):

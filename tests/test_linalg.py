@@ -767,6 +767,24 @@ def test_constructor_refuses_entries_that_are_not_ints_or_fractions():
     assert RatMatrix(1, 2, [1, Fraction(1, 2)]) == _m([[1, "1/2"]])
 
 
+def test_ragged_and_string_rows_and_columns_are_refused():
+    # a short column after a long one, or a long one after a short one,
+    # once dropped an entry or raised IndexError; a string row read its
+    # characters as entries
+    for call in (lambda: RatMatrix.from_columns([[1], [2, 3]]),
+                 lambda: RatMatrix.from_columns([[1, 2], [3]]),
+                 lambda: RatMatrix.from_columns(["12"]),
+                 lambda: Subspace.span(1, [[1], [2, 3]]),
+                 lambda: RatMatrix.from_rows([[1], [2, 3]]),
+                 lambda: RatMatrix.from_rows(["12"]),
+                 lambda: RatMatrix.from_rows([[1, 2], "34"])):
+        with pytest.raises(ValueError):
+            call()
+    assert RatMatrix.from_columns([[1, 2], [3, 4]]) == _m([[1, 3], [2, 4]])
+    assert RatMatrix.from_columns([], rows=3) == RatMatrix.zeros(3, 0)
+    assert RatMatrix.from_columns([[], []]) == RatMatrix.zeros(0, 2)
+
+
 # ------------------------------------------------------------ round trips
 
 def test_matrix_json_round_trip():
